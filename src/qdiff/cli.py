@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -26,6 +25,7 @@ from qdiff import density as dns
 from qdiff import ingest as ing
 from qdiff import pme
 from qdiff import regimes as reg
+from qdiff.io import write_table
 from qdiff.qgauss import ScalingLaw, selfsim_sample
 
 __all__ = ["RunConfig", "cmd_pipeline", "cmd_synth", "cmd_verify_pme", "main"]
@@ -135,10 +135,6 @@ def _coerce(key: str, val: str):
     return val
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -166,10 +162,10 @@ def _read_samples_dir(path: Path) -> list[tuple[float, np.ndarray]]:
 
 # --- pipeline stages -----------------------------------------------------
 
-def _adaptive_bandwidth(cfg: RunConfig, x: np.ndarray) -> float:
+def _adaptive_bandwidth(cfg: RunConfig, x: np.ndarray, q25: float) -> float:
+    """Kernel bandwidth; ``q25`` is the 25% quantile of |x|."""
     if cfg.bandwidth > 0.0:
         return cfg.bandwidth
-    q25 = float(np.quantile(np.abs(x), 0.25))
     if q25 <= 0.0:
         q25 = float(np.std(x)) or 1.0
     return cfg.bandwidth_scale * q25
@@ -246,12 +242,13 @@ def _stage_ensembles(cfg, out, state, record):
 def _stage_pdfs(cfg, out, state, record):
     pdf_dir = out / "pdfs"
     pdf_dir.mkdir(exist_ok=True)
-    core_pdfs, wide_pdfs = [], []
+    core_pdfs, wide_pdfs, q25s = [], [], []
     for ens in state["ensembles"]:
         x = ens.returns
-        h = _adaptive_bandwidth(cfg, x)
-        q25 = float(np.quantile(np.abs(x), 0.25)) or float(np.std(x)) or 1.0
-        span = cfg.core_span_quantiles * q25
+        q25 = float(np.quantile(np.abs(x), 0.25))
+        q25s.append(q25)
+        h = _adaptive_bandwidth(cfg, x, q25)
+        span = cfg.core_span_quantiles * (q25 or float(np.std(x)) or 1.0)
         core = dns.kde(ens, bandwidth=h, grid=(-span, span, cfg.grid_points))
         wide = dns.kde(ens, bandwidth=h, grid=cfg.grid_points)
         core_pdfs.append(core)
@@ -261,6 +258,7 @@ def _stage_pdfs(cfg, out, state, record):
         record("pdfs", path)
     state["core_pdfs"] = core_pdfs
     state["wide_pdfs"] = wide_pdfs
+    state["q25"] = q25s
 
 
 def _stage_series(cfg, out, state, record):
@@ -269,18 +267,13 @@ def _stage_series(cfg, out, state, record):
         x_peak, height = dns.pdf_height(p)
         heights.append((p.lag, x_peak, height))
     hpath = out / "heights.csv"
-    with open(hpath, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "x_peak", "height"])
-        for row in heights:
-            writer.writerow([_fmt(v) for v in row])
+    write_table(hpath, ["lag", "x_peak", "height"], heights)
     record("series", hpath)
     state["heights"] = heights
 
     lags, moments, windows = [], [], []
-    for p, ens in zip(state["wide_pdfs"], state["ensembles"]):
-        q25 = float(np.quantile(np.abs(ens.returns), 0.25)) or 1.0
-        window = min(cfg.moment_window_quantiles * q25,
+    for p, q25 in zip(state["wide_pdfs"], state["q25"]):
+        window = min(cfg.moment_window_quantiles * (q25 or 1.0),
                      0.999 * min(-p.grid[0], p.grid[-1]))
         lags.append(p.lag)
         moments.append(dns.second_moment(p, window))
@@ -440,16 +433,14 @@ def _stage_governing(cfg, out, state, record):
 def _stage_d2_grid(cfg, out, state, record):
     gp = state.get("governing")
     path = out / "d2_grid.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x", "d2"])
-        if gp is not None:
-            lags = [p.lag for p in state["core_pdfs"]]
-            t_ref = float(np.median(lags))
-            width = (gp.d_coef * t_ref) ** (1.0 / gp.alpha)
-            xs = np.geomspace(0.01 * width, 100.0 * width, 101)
-            for x in xs:
-                writer.writerow([_fmt(t_ref), _fmt(x), _fmt(float(pme.black_scholes_d2(x, t_ref, gp)))])
+    rows = []
+    if gp is not None:
+        lags = [p.lag for p in state["core_pdfs"]]
+        t_ref = float(np.median(lags))
+        width = (gp.d_coef * t_ref) ** (1.0 / gp.alpha)
+        xs = np.geomspace(0.01 * width, 100.0 * width, 101)
+        rows = [(t_ref, x, float(pme.black_scholes_d2(x, t_ref, gp))) for x in xs]
+    write_table(path, ["t", "x", "d2"], rows)
     record("d2_grid", path)
 
 
@@ -758,15 +749,9 @@ def _run(args) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             gp = pme.map_constants(args.q, args.alpha, args.d_coef)
-        xs = np.linspace(args.x_min, args.x_max, args.n)
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "d2"])
-            for x in xs:
-                writer.writerow([
-                    _fmt(args.t), _fmt(float(x)),
-                    _fmt(float(pme.black_scholes_d2(float(x), args.t, gp))),
-                ])
+        xs = np.linspace(args.x_min, args.x_max, args.n).tolist()
+        write_table(args.out, ["t", "x", "d2"],
+                    [(args.t, x, float(pme.black_scholes_d2(x, args.t, gp))) for x in xs])
         print(f"diffusion-coefficient grid written to {args.out}")
         return 0
 

@@ -8,7 +8,6 @@ renormalized to unit trapezoid integral after grid truncation.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -16,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve
+
+from qdiff.io import write_table
 
 __all__ = [
     "EmpiricalPdf",
@@ -185,11 +186,7 @@ class MomentSeries:
 def write_pdf_csv(p: EmpiricalPdf, path) -> None:
     """Write (x, density) rows plus a JSON sidecar with the metadata."""
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "density"])
-        for x, d in zip(p.grid, p.density):
-            writer.writerow([f"{x:.17g}", f"{d:.17g}"])
+    write_table(path, ["x", "density"], np.column_stack([p.grid, p.density]))
     sidecar = {"lag": p.lag, "n_samples": p.n_samples, "bandwidth": p.bandwidth}
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
 
@@ -209,8 +206,5 @@ def read_pdf_csv(path) -> EmpiricalPdf:
 
 
 def write_moment_csv(series: MomentSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lag", "second_moment", "window"])
-        for t, m, w in zip(series.lags, series.second_moment, series.window):
-            writer.writerow([f"{t:.17g}", f"{m:.17g}", f"{w:.17g}"])
+    write_table(path, ["lag", "second_moment", "window"],
+                np.column_stack([series.lags, series.second_moment, series.window]))

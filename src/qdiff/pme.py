@@ -13,7 +13,6 @@ this sign is the one that actually solves the equation.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import warnings
@@ -24,6 +23,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import gammaln
 
+from qdiff.io import write_table
 from qdiff.qgauss import Q_LIMIT_TOL, c_q, rescale_exponent
 
 __all__ = [
@@ -460,11 +460,7 @@ def write_field_csv(result: SolveResult | PmeField, path, **extra_meta) -> None:
     """Field snapshot as CSV (x, u) plus a JSON sidecar with the metadata."""
     field = result.field if isinstance(result, SolveResult) else result
     path = Path(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "u"])
-        for x, u in zip(field.grid, field.u):
-            writer.writerow([f"{x:.17g}", f"{u:.17g}"])
+    write_table(path, ["x", "u"], np.column_stack([field.grid, field.u]))
     meta = {"m": field.m, "time": field.time, "mass": field.mass, "dx": field.dx}
     if isinstance(result, SolveResult):
         meta.update({"scheme": result.scheme, "n_steps": result.n_steps,

@@ -12,7 +12,6 @@ what makes the detector specific.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -23,6 +22,7 @@ from scipy.signal import savgol_filter
 
 from qdiff._loglog import loglog_fit
 from qdiff.density import EmpiricalPdf
+from qdiff.io import write_table
 from qdiff.qgauss import log_c_q
 
 __all__ = [
@@ -416,11 +416,6 @@ def detect_bump_end(lags, boundaries) -> float | None:
 
 def write_boundary_csv(rows, path) -> None:
     """CSV of per-lag boundary detections: t, x_minus, x_plus (blank if none)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "x_minus", "x_plus"])
-        for t, edges in rows:
-            if edges is None:
-                writer.writerow([f"{t:.17g}", "", ""])
-            else:
-                writer.writerow([f"{t:.17g}", f"{edges[0]:.17g}", f"{edges[1]:.17g}"])
+    write_table(path, ["t", "x_minus", "x_plus"],
+                [(t, None, None) if edges is None else (t, edges[0], edges[1])
+                 for t, edges in rows])

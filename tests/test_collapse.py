@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, stats
 
 from qdiff.collapse import (
     CollapseResult,
@@ -243,3 +245,41 @@ class TestMassCorrectedPooling:
                             restriction=lambda t, xs: np.abs(xs) < 2.0 * law.width(t))
         res = fit_collapsed(pts, law, zone="A")
         assert res.q == pytest.approx(q, abs=5e-3)
+
+
+def reference_grid_mass(q, beta, lo, hi):
+    """The scipy.stats form grid_mass replaced; it must agree bit for bit."""
+    if abs(q - 1.0) <= 1e-8:
+        scale = 1.0 / math.sqrt(2.0 * beta)
+        return float(stats.norm.cdf(hi / scale) - stats.norm.cdf(lo / scale))
+    nu = (3.0 - q) / (q - 1.0)
+    scale = 1.0 / math.sqrt((3.0 - q) * beta)
+    return float(stats.t.cdf(hi / scale, df=nu) - stats.t.cdf(lo / scale, df=nu))
+
+
+class TestGridMassBits:
+    @pytest.mark.parametrize("q", [1.0, 1.0 + 1e-9, 1.0 - 5e-9, 1.0 + 1e-8, 1.0 + 2e-8,
+                                   1.0 + 1e-6, 1.26, 1.5, 1.71, 2.2, 2.73, 3.0 - 1e-6])
+    def test_equals_scipy_stats_difference(self, q):
+        for beta in (1e-4, 0.5, 1.0, 2.5, 4793.0, 1e6):
+            for lo, hi in ((-1.017, 1.017), (-2.0, 5.0), (-1e4, 1e4), (-0.0, 0.3),
+                           (0.1, 0.2), (-3e-3, -1e-3), (-50.0, 50.0)):
+                got = grid_mass(q, beta, lo, hi)
+                want = reference_grid_mass(q, beta, lo, hi)
+                assert got.hex() == want.hex(), (q, beta, lo, hi)
+
+
+class TestBimodalStart:
+    def test_zero_at_half_peak_does_not_divide_by_zero(self):
+        grid = np.linspace(-4.0, 4.0, 801)
+        assert np.any(grid == 0.0)
+        pdf = EmpiricalPdf.from_function(
+            lambda x: np.exp(-0.5 * ((x - 1.5) / 0.3) ** 2)
+            + np.exp(-0.5 * ((x + 1.5) / 0.3) ** 2),
+            grid, lag=1.0,
+        )
+        try:
+            fit = fit_qgauss(pdf)
+        except FitError:
+            return
+        assert math.isfinite(fit.params.q) and fit.params.beta > 0.0
