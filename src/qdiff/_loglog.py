@@ -1,10 +1,15 @@
-"""Least squares of log y against log x, with standard errors."""
+"""Least squares of log y against log x, with standard errors, and the
+error every fit in the package raises."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class FitError(RuntimeError):
+    """A fit did not converge, or the data admit no meaningful result."""
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import least_squares
 from scipy.special import digamma, ndtr, stdtr
 
-from qdiff._loglog import loglog_fit
+from qdiff._loglog import FitError, loglog_fit
 from qdiff.density import EmpiricalPdf
 from qdiff.io import write_table
 from qdiff.qgauss import QParams, ScalingLaw, log_c_q
@@ -25,6 +25,7 @@ __all__ = [
     "CollapseResult",
     "FitError",
     "LagFit",
+    "collapse_payload",
     "collapse_pdfs",
     "collapse_spread",
     "fit_beta_law",
@@ -36,10 +37,6 @@ Q_BOUNDS = (1.0 + 1e-6, 3.0 - 1e-6)
 MULTISTART_Q = (1.2, 1.7, 2.2, 2.7)
 MAX_ITER = 500
 DENSITY_FLOOR = 1e-6  # relative to the peak; below this points carry no weight
-
-
-class FitError(RuntimeError):
-    """Nonlinear fit failed to converge or the data admit no scaling."""
 
 
 @dataclass(frozen=True)
@@ -441,22 +438,22 @@ def write_lag_fits_json(fits, path) -> None:
         json.dump(rows, fh, indent=2, sort_keys=True)
 
 
+def collapse_payload(result: CollapseResult) -> dict:
+    """The JSON fields of one zone's collapse result."""
+    return {
+        "q": result.q,
+        "alpha": result.scaling.alpha,
+        "d_coef": result.scaling.d_coef,
+        "collapse_residual": result.collapse_residual,
+        "zone": result.zone,
+        "q_err": result.q_err,
+        "n_points": result.n_points,
+    }
+
+
 def write_collapse_json(result: CollapseResult, path) -> None:
     with open(path, "w") as fh:
-        json.dump(
-            {
-                "q": result.q,
-                "alpha": result.scaling.alpha,
-                "d_coef": result.scaling.d_coef,
-                "collapse_residual": result.collapse_residual,
-                "zone": result.zone,
-                "q_err": result.q_err,
-                "n_points": result.n_points,
-            },
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
+        json.dump(collapse_payload(result), fh, indent=2, sort_keys=True)
 
 
 def write_collapsed_csv(points: np.ndarray, path) -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import brentq, least_squares
 from scipy.signal import savgol_filter
 
-from qdiff._loglog import loglog_fit
+from qdiff._loglog import FitError, loglog_fit
 from qdiff.density import EmpiricalPdf
 from qdiff.io import write_table
 from qdiff.qgauss import log_c_q
@@ -42,10 +42,6 @@ __all__ = [
 # is the default and the other is accepted through configuration.
 DEFAULT_T_CROSS_START = 35.0
 DEFAULT_T_BUMP_END = 78.0
-
-
-class FitError(RuntimeError):
-    """A least-squares fit could not produce a meaningful result."""
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ quadrature for normalizations and distribution functions, closed-form
 crossings by bracketed root finding, and high-order finite differences.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -76,3 +78,17 @@ def loglog_slope_fd(f, x1: float, x2: float) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_child_processes():
+    """Fail any test that leaves a child process (a worker pool) running.
+
+    Leaked children are reported, not killed: killing a pool's worker
+    behind the pool's back can leave a queue lock held and hang the pool's
+    own shutdown. Children alive before the test are not counted again.
+    """
+    before = set(multiprocessing.active_children())
+    yield
+    leaked = set(multiprocessing.active_children()) - before
+    assert not leaked, f"test left child processes running: {sorted(map(str, leaked))}"

@@ -1,10 +1,15 @@
 import json
+import math
+import shutil
 
 import numpy as np
 import pytest
 
+from qdiff import cli
+from qdiff import regimes as reg
 from qdiff.cli import (
     RunConfig,
+    StageError,
     ValidationError,
     cmd_pipeline,
     cmd_synth,
@@ -13,6 +18,7 @@ from qdiff.cli import (
     main,
 )
 from qdiff.ingest import lag_ladder
+from qdiff.qgauss import ScalingLaw, selfsim_sample
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +223,89 @@ class TestStageFailure:
         code = main(["pipeline", "--ensembles", str(ens),
                      "--out", str(tmp_path / "r2"), "--set", "max_lag=10"])
         assert code == 2
+
+
+def _repr_lines(samples: np.ndarray) -> bytes:
+    return ("return\n" + "\n".join(map(repr, samples.tolist())) + "\n").encode()
+
+
+class TestSampleFilesInWorkers:
+    """Per-lag sample files are written and parsed in a worker pool; the
+    bytes must equal a serial repr rendering, whatever the worker count."""
+
+    LAGS = [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0]  # more than two files per worker
+
+    def test_synth_files_are_repr_of_the_seeded_draws(self, tmp_path):
+        out = cmd_synth(tmp_path / "s", q=1.71, alpha=1.79, d_coef=0.1118,
+                        lags=self.LAGS, n_per_lag=2000, seed=11)
+        law = ScalingLaw(alpha=1.79, d_coef=0.1118)
+        for i, t in enumerate(self.LAGS):
+            expected = selfsim_sample(1.71, law, t, 2000, seed=11 + i)
+            assert (out / f"lag_{int(t):06d}.csv").read_bytes() == _repr_lines(expected)
+
+    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        kwargs = dict(q=1.71, alpha=1.79, d_coef=0.1118, lags=self.LAGS,
+                      n_per_lag=500, seed=4, mode="mixture")
+        many = cmd_synth(tmp_path / "many", **kwargs)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+        one = cmd_synth(tmp_path / "one", **kwargs)
+        names = sorted(p.name for p in many.iterdir())
+        assert names == sorted(p.name for p in one.iterdir())
+        for name in names:
+            assert (many / name).read_bytes() == (one / name).read_bytes()
+
+    def test_pipeline_copies_equal_synth_inputs(self, small_ensembles, tmp_path):
+        out = cmd_pipeline(RunConfig(ensembles=str(small_ensembles),
+                                     out=str(tmp_path / "run"), max_lag=100.0))
+        copies = sorted((out / "ensembles").glob("lag_*.csv"))
+        inputs = sorted(small_ensembles.glob("lag_*.csv"))
+        assert [p.name for p in copies] == [p.name for p in inputs]
+        for copy, src in zip(copies, inputs):
+            assert copy.read_bytes() == src.read_bytes()
+        # the bump-end fallback key is written only when the fallback fires
+        assert "bump_end_rejected" not in json.loads((out / "partition.json").read_text())
+
+    def test_non_numeric_row_is_a_stage_error(self, small_ensembles, tmp_path):
+        ens = tmp_path / "ens"
+        shutil.copytree(small_ensembles, ens)
+        bad = sorted(ens.glob("lag_*.csv"))[2]
+        lines = bad.read_text().splitlines()
+        lines[5] = "not-a-number"
+        bad.write_text("\n".join(lines) + "\n")
+        run = tmp_path / "run"
+        assert main(["pipeline", "--ensembles", str(ens), "--out", str(run),
+                     "--set", "max_lag=100"]) == 2
+        assert (run / "FAILED").read_text().startswith("ensembles")
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "ensembles" and manifest["artifacts"] == []
+        # the worker's exception crosses the process boundary with its type
+        with pytest.raises(StageError) as info:
+            cmd_pipeline(RunConfig(ensembles=str(ens), out=str(tmp_path / "again")))
+        assert type(info.value.cause) is ValueError
+
+    def test_empty_directory_is_refused_before_any_worker(self, tmp_path, monkeypatch):
+        def no_pool(n_files):
+            raise AssertionError("a pool was started for an empty directory")
+
+        monkeypatch.setattr(cli, "_sample_pool", no_pool)
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(StageError) as info:
+            cmd_pipeline(RunConfig(ensembles=str(tmp_path / "empty"), out=str(tmp_path / "run")))
+        assert info.value.stage == "ensembles"
+        assert isinstance(info.value.cause, ValidationError)
+
+
+class TestEarlyBumpEnd:
+    def test_bump_end_before_crossover_falls_back(self, small_ensembles, tmp_path, monkeypatch):
+        # a bump seen only at lag 1 of (1, 3, 10, 32, 100) ends at sqrt(3),
+        # before t_cross_start: the run keeps the configured bump end
+        monkeypatch.setattr(
+            reg, "bump_boundary", lambda pdf: (-1e-3, 1e-3) if pdf.lag < 2 else None
+        )
+        cfg = RunConfig(ensembles=str(small_ensembles), out=str(tmp_path / "run"),
+                        max_lag=100.0)
+        out = cmd_pipeline(cfg)
+        partition = json.loads((out / "partition.json").read_text())
+        assert partition["bump_end_rejected"] == pytest.approx(math.sqrt(3.0))
+        assert partition["t_bump_end"] == cfg.t_bump_end
+        assert partition["n_lags_with_bump"] == 1

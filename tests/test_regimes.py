@@ -285,3 +285,12 @@ class TestTwoRegimeSynthetic:
         detected = detect_bump_end([float(t) for t in lags], bounds)
         assert detected is not None
         assert abs(detected - t_end) / t_end < 0.20
+
+
+class TestSharedFitError:
+    def test_one_class_for_every_fit(self):
+        from qdiff import _loglog
+        from qdiff import collapse as clp
+        from qdiff import regimes as reg
+
+        assert reg.FitError is clp.FitError is _loglog.FitError
