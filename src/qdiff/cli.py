@@ -30,7 +30,7 @@ from qdiff import density as dns
 from qdiff import ingest as ing
 from qdiff import pme
 from qdiff import regimes as reg
-from qdiff.io import write_table
+from qdiff.io import write_json, write_table
 from qdiff.qgauss import ScalingLaw, selfsim_sample
 
 __all__ = ["RunConfig", "cmd_pipeline", "cmd_synth", "cmd_verify_pme", "main"]
@@ -153,9 +153,7 @@ def _write_samples_csv(path: Path, lag: float, samples: np.ndarray, meta: dict) 
     # at the millions-of-rows scale of the synthetic ensembles
     body = "\n".join(map(repr, np.asarray(samples, dtype=float).tolist()))
     path.write_text("return\n" + body + "\n")
-    path.with_suffix(".json").write_text(
-        json.dumps({"lag": lag, "n": int(samples.size), **meta}, indent=2, sort_keys=True)
-    )
+    write_json(path.with_suffix(".json"), {"lag": lag, "n": int(samples.size), **meta})
 
 
 def _copy_samples_csv(out_dir: Path, csv_path: Path) -> ing.ReturnEnsemble:
@@ -253,9 +251,9 @@ def cmd_pipeline(cfg: RunConfig) -> Path:
         except Exception as exc:
             manifest["failed_stage"] = name
             (out / "FAILED").write_text(f"{name}: {exc}\n")
-            (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+            write_json(out / "manifest.json", manifest)
             raise StageError(name, exc) from exc
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    write_json(out / "manifest.json", manifest)
     return out
 
 
@@ -370,7 +368,7 @@ def _stage_regimes(cfg, out, state, record):
     payload["n_lags_with_bump"] = len(detected)
     if rejected is not None:
         payload["bump_end_rejected"] = rejected
-    ppath.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    write_json(ppath, payload)
     record("regimes", ppath)
     state["partition"] = partition
     state["has_bumps"] = len(detected) >= 3
@@ -393,7 +391,7 @@ def _stage_regimes(cfg, out, state, record):
         except (reg.FitError, ValueError) as exc:
             height_fits[name] = {"error": str(exc), "range": [lo, hi]}
     hpath = out / "height_fits.json"
-    hpath.write_text(json.dumps(height_fits, indent=2, sort_keys=True))
+    write_json(hpath, height_fits)
     record("regimes", hpath)
 
 
@@ -455,7 +453,7 @@ def _stage_collapse(cfg, out, state, record):
 
     payload = {name: clp.collapse_payload(res) for name, res in results.items()}
     cpath = out / "collapse.json"
-    cpath.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    write_json(cpath, payload)
     record("collapse", cpath)
     state["collapse"] = results
 
@@ -477,7 +475,7 @@ def _stage_governing(cfg, out, state, record):
         payload = {"error": str(exc)}
         state["governing"] = None
     gpath = out / "governing.json"
-    gpath.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    write_json(gpath, payload)
     record("governing", gpath)
 
 
@@ -553,10 +551,8 @@ def cmd_synth(
                                             seed=rng.integers(2**63)))
                 samples = rng.permutation(np.concatenate(parts))
             submit(_write_samples_csv, _samples_path(out, t), t, samples, meta)
-    (out / "synth.json").write_text(
-        json.dumps({**meta, "lags": [float(t) for t in lags], "n_per_lag": n_per_lag},
-                   indent=2, sort_keys=True)
-    )
+    write_json(out / "synth.json",
+               {**meta, "lags": [float(t) for t in lags], "n_per_lag": n_per_lag})
     return out
 
 
@@ -616,10 +612,7 @@ def cmd_verify_pme(
         u0 = np.asarray(pme.barenblatt(grid, t1, m, c_int))
         field = pme.PmeField(grid=grid, u=u0, time=t1, m=m)
         if m < 1.0:
-            bv = lambda t, g=grid: (
-                float(pme.barenblatt(g[0], t, m, c_int)),
-                float(pme.barenblatt(g[-1], t, m, c_int)),
-            )
+            bv = lambda t, ends=grid[[0, -1]]: tuple(pme.barenblatt(ends, t, m, c_int))
             log_step = 2e-4 / 4**level
             res = pme.solve_pme(field, t2, scheme="implicit", bc="dirichlet",
                                 boundary_values=bv, log_step=log_step)
@@ -818,6 +811,9 @@ def main(argv=None) -> int:
     except (ValidationError, ing.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except StageError as exc:  # a stage's bad input is still a validation error
+        print(f"error: {exc}", file=sys.stderr)
+        return 1 if isinstance(exc.cause, (ValidationError, ing.SchemaError)) else 2
     except Exception as exc:  # computation failure
         print(f"error: {exc}", file=sys.stderr)
         return 2

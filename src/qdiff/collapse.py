@@ -8,7 +8,6 @@ multi-start over q to escape the q/beta trade-off valley.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ from scipy.special import digamma, ndtr, stdtr
 
 from qdiff._loglog import FitError, loglog_fit
 from qdiff.density import EmpiricalPdf
-from qdiff.io import write_table
+from qdiff.io import write_json, write_table
 from qdiff.qgauss import QParams, ScalingLaw, log_c_q
 
 __all__ = [
@@ -434,8 +433,7 @@ def write_lag_fits_json(fits, path) -> None:
         }
         for f in fits
     ]
-    with open(path, "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
+    write_json(path, rows)
 
 
 def collapse_payload(result: CollapseResult) -> dict:
@@ -452,8 +450,7 @@ def collapse_payload(result: CollapseResult) -> dict:
 
 
 def write_collapse_json(result: CollapseResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(collapse_payload(result), fh, indent=2, sort_keys=True)
+    write_json(path, collapse_payload(result))
 
 
 def write_collapsed_csv(points: np.ndarray, path) -> None:

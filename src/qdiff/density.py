@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import fftconvolve
 
-from qdiff.io import write_table
+from qdiff.io import write_json, write_table
 
 __all__ = [
     "EmpiricalPdf",
@@ -188,7 +188,7 @@ def write_pdf_csv(p: EmpiricalPdf, path) -> None:
     path = Path(path)
     write_table(path, ["x", "density"], np.column_stack([p.grid, p.density]))
     sidecar = {"lag": p.lag, "n_samples": p.n_samples, "bandwidth": p.bandwidth}
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
+    write_json(path.with_suffix(".json"), sidecar)
 
 
 def read_pdf_csv(path) -> EmpiricalPdf:

@@ -8,13 +8,14 @@ so overnight jumps do not contaminate the intraday statistics.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
 import numpy as np
+
+from qdiff.io import write_json
 
 __all__ = [
     "IndexSeries",
@@ -219,7 +220,7 @@ def gap_report(series: IndexSeries) -> dict:
 
 
 def write_gap_report(series: IndexSeries, path) -> None:
-    Path(path).write_text(json.dumps(gap_report(series), indent=2, sort_keys=True))
+    write_json(path, gap_report(series))
 
 
 def returns_at_lag(series: IndexSeries, lag: float, policy: str = "overlapping") -> ReturnEnsemble:

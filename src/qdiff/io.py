@@ -1,16 +1,20 @@
-"""The one writer behind every CSV table the package produces.
+"""The writers behind every CSV table and JSON document the package produces.
 
-Each cell is formatted with ``"%.17g"`` (17 significant digits round-trip
+Each CSV cell is formatted with ``"%.17g"`` (17 significant digits round-trip
 every double), a None cell is left blank, and every line ends in CRLF,
 the line end of the csv module's default dialect. Reruns of the same
-computation therefore write the same bytes.
+computation therefore write the same bytes. JSON documents are indented
+by two spaces with sorted keys, for the same reason.
 """
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
-__all__ = ["write_table"]
+__all__ = ["write_json", "write_table"]
 
 # Rows formatted per write; bounds the text held in memory for long tables.
 CHUNK_ROWS = 4096
@@ -41,3 +45,8 @@ def write_table(path, header, rows) -> None:
                 fh.write(line * len(chunk) % tuple(chunk.ravel().tolist()))
             else:
                 fh.write("".join(_format_row(row) for row in chunk))
+
+
+def write_json(path, obj) -> None:
+    """Write ``obj`` as JSON, indented by two spaces, keys sorted."""
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True))

@@ -13,17 +13,17 @@ this sign is the one that actually solves the equation.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dgtsv
 from scipy.special import gammaln
 
-from qdiff.io import write_table
+from qdiff.io import write_json, write_table
 from qdiff.qgauss import Q_LIMIT_TOL, c_q, rescale_exponent
 
 __all__ = [
@@ -341,11 +341,14 @@ def _step_implicit(u, dx, dt, m, bc, bdry):
     n = u.size
     uf = np.maximum(u, U_FLOOR)
     w = uf**m
-    du = np.diff(uf)
-    dw = np.diff(w)
+    du = uf[1:] - uf[:-1]
+    dw = w[1:] - w[:-1]
     mid = 0.5 * (uf[:-1] + uf[1:])
-    d_face = np.where(np.abs(du) > 1e-14 * mid, dw / np.where(du == 0.0, 1.0, du),
-                      m * mid ** (m - 1.0))
+    d_face = dw / np.where(du == 0.0, 1.0, du)
+    # Flat faces take the tangent m u^(m-1); the negated test sends NaN there too.
+    flat = ~(np.abs(du) > 1e-14 * mid)
+    if flat.any():
+        d_face[flat] = m * mid[flat] ** (m - 1.0)
     lam = dt / (dx * dx)
     diag = np.ones(n)
     lower = np.zeros(n - 1)
@@ -363,11 +366,16 @@ def _step_implicit(u, dx, dt, m, bc, bdry):
         upper[0] = 0.0
         lower[-1] = 0.0
         rhs[0], rhs[-1] = bdry
-    band = np.zeros((3, n))
-    band[0, 1:] = upper
-    band[1, :] = diag
-    band[2, :-1] = lower
-    return solve_banded((1, 1), band, rhs)
+    # LAPACK gtsv, the routine solve_banded((1, 1), ...) ends in, with its checks.
+    for a in (lower, diag, upper, rhs):
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = dgtsv(lower, diag, upper, rhs, True, True, True, True)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
+    return x
 
 
 def solve_pme(
@@ -440,10 +448,10 @@ def solve_pme(
         stepper = _step_explicit if scheme == "explicit" else _step_implicit
         u = stepper(u, dx, dt, m, bc, bdry)
         below = u < 0.0
-        if np.any(below):
+        if below.any():
             floor_hits += int(np.sum(below))
             u = np.maximum(u, 0.0)
-        if not np.all(np.isfinite(u)):
+        if not np.isfinite(u).all():
             raise SolverError(f"non-finite field at t={t + dt!r}; step too large")
         t += dt
         steps += 1
@@ -467,7 +475,7 @@ def write_field_csv(result: SolveResult | PmeField, path, **extra_meta) -> None:
                      "mass_drift": result.mass_drift,
                      "floor_hits": result.floor_hits})
     meta.update(extra_meta)
-    path.with_suffix(".json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    write_json(path.with_suffix(".json"), meta)
 
 
 def solve_governing(

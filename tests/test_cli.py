@@ -294,6 +294,15 @@ class TestSampleFilesInWorkers:
         assert info.value.stage == "ensembles"
         assert isinstance(info.value.cause, ValidationError)
 
+    def test_empty_directory_exits_as_validation_error(self, tmp_path):
+        (tmp_path / "empty").mkdir()
+        run = tmp_path / "run"
+        assert main(["pipeline", "--ensembles", str(tmp_path / "empty"),
+                     "--out", str(run)]) == 1
+        assert (run / "FAILED").read_text().startswith("ensembles")
+        manifest = json.loads((run / "manifest.json").read_text())
+        assert manifest["failed_stage"] == "ensembles" and manifest["artifacts"] == []
+
 
 class TestEarlyBumpEnd:
     def test_bump_end_before_crossover_falls_back(self, small_ensembles, tmp_path, monkeypatch):

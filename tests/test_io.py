@@ -1,10 +1,11 @@
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
-from qdiff.io import CHUNK_ROWS, write_table
+from qdiff.io import CHUNK_ROWS, write_json, write_table
 
 
 def reference_table(path, header, rows):
@@ -68,3 +69,12 @@ class TestWriteTable:
             write_table(tmp_path / "t.csv", ["x", "u"], np.zeros((4, 3)))
         with pytest.raises(ValueError):
             write_table(tmp_path / "t.csv", ["x", "u"], np.zeros(4))
+
+
+class TestWriteJson:
+    def test_indented_sorted_bytes(self, tmp_path):
+        obj = {"b": [1.0, 0.1, -0.0, 1e300], "a": {"z": None, "y": True}, "c": "text"}
+        path = tmp_path / "doc.json"
+        write_json(path, obj)
+        assert path.read_bytes() == json.dumps(obj, indent=2, sort_keys=True).encode()
+        assert json.loads(path.read_text()) == obj

@@ -3,9 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, solve_banded
 
 from conftest import loglog_slope_fd
 from qdiff.pme import (
+    U_FLOOR,
     GoverningParams,
     PmeField,
     SolverError,
@@ -17,6 +19,7 @@ from qdiff.pme import (
     map_constants,
     solve_governing,
     solve_pme,
+    _step_implicit,
 )
 from qdiff.qgauss import ScalingLaw, c_q, selfsim_pdf
 
@@ -388,3 +391,76 @@ class TestFieldSnapshot:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(data[:, 0], grid)
         assert np.allclose(data[:, 1], res.field.u)
+
+
+def banded_reference_step(u, dx, dt, m, bc, bdry):
+    """Backward-Euler step assembled as a (3, n) band for solve_banded((1, 1), ...)."""
+    n = u.size
+    uf = np.maximum(u, U_FLOOR)
+    w = uf**m
+    du = np.diff(uf)
+    dw = np.diff(w)
+    mid = 0.5 * (uf[:-1] + uf[1:])
+    d_face = np.where(np.abs(du) > 1e-14 * mid, dw / np.where(du == 0.0, 1.0, du),
+                      m * mid ** (m - 1.0))
+    lam = dt / (dx * dx)
+    band = np.zeros((3, n))
+    band[1] = 1.0
+    band[1, 1:-1] += lam * (d_face[:-1] + d_face[1:])
+    band[0, 2:] = -lam * d_face[1:]
+    band[2, :-2] = -lam * d_face[:-1]
+    rhs = u.copy()
+    if bc == "zero-flux":
+        band[1, 0] += 2.0 * lam * d_face[0]
+        band[0, 1] = -2.0 * lam * d_face[0]
+        band[1, -1] += 2.0 * lam * d_face[-1]
+        band[2, -2] = -2.0 * lam * d_face[-1]
+    else:
+        rhs[0], rhs[-1] = bdry
+    return solve_banded((1, 1), band, rhs)
+
+
+def plateau_field(grid):
+    """Gaussian with a flat top and a zero run: equal neighbours on many faces."""
+    u = np.exp(-0.5 * (grid / 4.0) ** 2)
+    u[100:160] = u[100]
+    u[:30] = 0.0
+    return u
+
+
+class TestImplicitStep:
+    """The LAPACK gtsv step must equal solve_banded on the same system, bit for bit."""
+
+    GRID = np.linspace(-30.0, 30.0, 257)
+
+    @pytest.mark.parametrize("bc", ["dirichlet", "zero-flux"])
+    @pytest.mark.parametrize("m", [0.29, 0.6, 1.5])
+    @pytest.mark.parametrize("shape", ["barenblatt", "plateau"])
+    def test_bit_identical_to_solve_banded(self, m, bc, shape):
+        grid = self.GRID
+        dx = grid[1] - grid[0]
+        if shape == "barenblatt":
+            u = np.asarray(barenblatt(grid, 1.0, m, 1.0))
+        else:
+            u = plateau_field(grid)
+            uf = np.maximum(u, U_FLOOR)
+            mid = 0.5 * (uf[:-1] + uf[1:])
+            assert np.any(~(np.abs(np.diff(uf)) > 1e-14 * mid))  # tangent faces present
+        bdry = (1.01 * u[0], 0.99 * u[-1] + 1e-6)
+        for dt in (2e-4, 0.05, 3.0):
+            got = _step_implicit(u, dx, dt, m, bc, bdry)
+            want = banded_reference_step(u, dx, dt, m, bc, bdry)
+            assert np.array_equal(got, want)
+
+    def test_non_finite_boundary_value_rejected(self):
+        f0 = barenblatt_field(np.linspace(-20, 20, 129), 1.0, 0.29)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            solve_pme(f0, 1.1, scheme="implicit", bc="dirichlet",
+                      boundary_values=lambda t: (np.inf, 0.0))
+
+    def test_singular_system_rejected(self):
+        # lam = dt/dx^2 = -1/4 on a constant field makes I + lam K singular
+        grid = np.linspace(0.0, 1.0, 9)
+        dx = grid[1] - grid[0]
+        with pytest.raises(LinAlgError, match="singular"):
+            _step_implicit(np.ones(9), dx, -0.25 * dx * dx, 1.0, "zero-flux", None)
