@@ -1,24 +1,20 @@
 """Command-line pipeline: ingest, densities, regimes, collapse, equation checks.
 
 Subcommands: pipeline, synth, verify-pme, fit, collapse, d2-grid. All
-tabular outputs are CSV, metadata is JSON, and numbers are written with
-17 significant digits so reruns with the same configuration and seed are
-byte-identical. Exit codes: 0 success, 1 validation error, 2 computation
-error.
+tabular outputs are CSV with numbers written to 17 significant digits,
+per-lag samples are numpy .npy files, and metadata is JSON, so reruns
+with the same configuration and seed are byte-identical. Exit codes: 0
+success, 1 validation error, 2 computation error.
 """
 
 from __future__ import annotations
 
 import argparse
-import collections
-import contextlib
-import functools
 import hashlib
 import json
 import math
-import multiprocessing
-import os
 import sys
+import time
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -145,61 +141,44 @@ def _sha256(path: Path) -> str:
 
 
 def _samples_path(directory: Path, lag: float) -> Path:
-    return directory / f"lag_{int(round(lag)):06d}.csv"
+    return directory / f"lag_{int(round(lag)):06d}.npy"
 
 
-def _write_samples_csv(path: Path, lag: float, samples: np.ndarray, meta: dict) -> None:
-    # repr round-trips doubles exactly and is much faster than csv.writer
-    # at the millions-of-rows scale of the synthetic ensembles
-    body = "\n".join(map(repr, np.asarray(samples, dtype=float).tolist()))
-    path.write_text("return\n" + body + "\n")
+def _write_samples(path: Path, lag: float, samples: np.ndarray, meta: dict) -> None:
+    # numpy's own format stores the doubles as they are, so a file round-trips
+    # exactly and the same samples always give the same bytes
+    np.save(path, np.asarray(samples, dtype=float), allow_pickle=False)
     write_json(path.with_suffix(".json"), {"lag": lag, "n": int(samples.size), **meta})
 
 
-def _copy_samples_csv(out_dir: Path, csv_path: Path) -> ing.ReturnEnsemble:
-    """Parse one per-lag sample file and write its canonical copy."""
-    meta = json.loads(csv_path.with_suffix(".json").read_text())
-    samples = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    ens = ing.ReturnEnsemble(lag=float(meta["lag"]), returns=np.atleast_1d(samples))
-    _write_samples_csv(_samples_path(out_dir, ens.lag), ens.lag, ens.returns,
-                       {"origin_policy": ens.origin_policy})
-    return ens
+def _read_samples(path: Path) -> ing.ReturnEnsemble:
+    """Load one per-lag sample file and the lag from its JSON sidecar.
 
-
-@contextlib.contextmanager
-def _sample_pool(n_files: int):
-    """Fork pool for per-lag sample files, one worker per usable CPU.
-
-    Yields ``(pool, submit)``. ``submit(fn, *args)`` runs fn in a worker
-    and keeps at most two files per worker in flight, so the caller never
-    holds every ensemble at once. Each file is written whole by one
-    worker, so the bytes do not depend on the worker count. The pool is
-    closed (on error, terminated) and joined on every path.
-
-    Workers are forked: they run only repr, json and np.loadtxt, and a
-    spawned worker would re-import numpy and scipy, which costs more than
-    the I/O it takes over (starting a pool of two took about 1.1 s spawned
-    against 0.02 s forked on a 2-CPU Linux machine).
+    The file must hold a 1-D float64 array of finite samples. Pickled
+    content is never loaded. Every defect raises ValidationError naming
+    the file.
     """
-    workers = max(1, min(len(os.sched_getaffinity(0)), n_files))
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    pending: collections.deque = collections.deque()
-
-    def submit(fn, *args) -> None:
-        pending.append(pool.apply_async(fn, args))
-        if len(pending) > 2 * workers:
-            pending.popleft().get()
-
     try:
-        yield pool, submit
-        while pending:
-            pending.popleft().get()
-        pool.close()
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.join()
+        with open(path, "rb") as fh:
+            samples = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError) as exc:
+        raise ValidationError(f"{path}: not a readable .npy sample file ({exc})") from exc
+    if not isinstance(samples, np.ndarray):
+        raise ValidationError(f"{path}: is an .npz archive, not a .npy array")
+    if samples.ndim != 1 or samples.dtype != np.float64:
+        raise ValidationError(f"{path}: expected a 1-D float64 array, "
+                              f"got {samples.dtype!r} of shape {samples.shape}")
+    if not np.isfinite(samples).all():
+        raise ValidationError(f"{path}: holds non-finite samples")
+    sidecar = path.with_suffix(".json")
+    try:
+        lag = float(json.loads(sidecar.read_text())["lag"])
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ValidationError(f"{path}: no lag from sidecar {sidecar.name} ({exc!r})") from exc
+    try:
+        return ing.ReturnEnsemble(lag=lag, returns=samples)
+    except ValueError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # --- pipeline stages -----------------------------------------------------
@@ -234,7 +213,8 @@ def cmd_pipeline(cfg: RunConfig) -> Path:
             {"stage": stage, "path": str(path.relative_to(out)), "sha256": _sha256(path)}
         )
 
-    state: dict = {}
+    # stages hash every input file they read into the manifest
+    state: dict = {"inputs": manifest["inputs"]}
     stages = [
         ("ensembles", _stage_ensembles),
         ("pdfs", _stage_pdfs),
@@ -245,15 +225,24 @@ def cmd_pipeline(cfg: RunConfig) -> Path:
         ("governing", _stage_governing),
         ("d2_grid", _stage_d2_grid),
     ]
+    stage_s: dict = {}
+    failure = None
     for name, stage in stages:
+        t0 = time.perf_counter()
         try:
             stage(cfg, out, state, record)
         except Exception as exc:
+            failure = StageError(name, exc)
             manifest["failed_stage"] = name
             (out / "FAILED").write_text(f"{name}: {exc}\n")
-            write_json(out / "manifest.json", manifest)
-            raise StageError(name, exc) from exc
+        stage_s[name] = time.perf_counter() - t0
+        if failure is not None:
+            break
     write_json(out / "manifest.json", manifest)
+    # seconds per stage run; they vary between runs, so not an artifact
+    write_json(out / "run_report.json", {"stage_s": stage_s})
+    if failure is not None:
+        raise failure from failure.cause
     return out
 
 
@@ -261,29 +250,29 @@ def _stage_ensembles(cfg, out, state, record):
     lags = ing.lag_ladder(cfg.min_lag, cfg.max_lag, cfg.points_per_decade)
     ens_dir = out / "ensembles"
     ens_dir.mkdir(exist_ok=True)
-    ensembles = []
     if cfg.input:
         series = ing.load_series(cfg.input, delimiter=cfg.delimiter)
         ing.write_gap_report(series, out / "gap_report.json")
         record("ensembles", out / "gap_report.json")
         detrended = ing.detrend(series, cfg.detrend_window)
-        with _sample_pool(len(lags)) as (_, submit):
-            for lag in lags:
-                if lag > detrended.span:
-                    continue
-                ens = ing.returns_at_lag(detrended, float(lag), cfg.origin_policy)
-                ensembles.append(ens)
-                submit(_write_samples_csv, _samples_path(ens_dir, ens.lag), ens.lag,
-                       ens.returns, {"origin_policy": ens.origin_policy})
+        ensembles = [ing.returns_at_lag(detrended, float(lag), cfg.origin_policy)
+                     for lag in lags if lag <= detrended.span]
     else:
-        paths = sorted(Path(cfg.ensembles).glob("lag_*.csv"))
+        src = Path(cfg.ensembles)
+        paths = sorted(src.glob("lag_*.npy"))
         if not paths:
-            raise ValidationError(f"no lag_*.csv sample files under {cfg.ensembles}")
-        with _sample_pool(len(paths)) as (pool, _):
-            ensembles = pool.map(functools.partial(_copy_samples_csv, ens_dir), paths,
-                                 chunksize=1)
+            hint = ""
+            if any(src.glob("lag_*.csv")):
+                hint = ("; text sample files (lag_*.csv) are no longer read, convert each "
+                        "with np.save(path.with_suffix('.npy'), np.loadtxt(path, skiprows=1))")
+            raise ValidationError(f"no lag_*.npy sample files under {src}{hint}")
+        ensembles = [_read_samples(p) for p in paths]
+        state["inputs"].update((str(p), _sha256(p)) for p in paths)
+    # every input is read and checked before the first copy is written
     for ens in ensembles:
-        record("ensembles", _samples_path(ens_dir, ens.lag))
+        path = _samples_path(ens_dir, ens.lag)
+        _write_samples(path, ens.lag, ens.returns, {"origin_policy": ens.origin_policy})
+        record("ensembles", path)
     state["ensembles"] = ensembles
 
 
@@ -534,23 +523,22 @@ def cmd_synth(
         meta.update({"bump_q": bump_q, "bump_alpha": bump_alpha, "bump_d": bump_d,
                      "bump_weight": bump_weight, "bump_t_end": bump_t_end,
                      "bump_sharpness": bump_sharpness})
-    with _sample_pool(len(lags)) as (_, submit):
-        for i, t in enumerate(lags):
-            t = float(t)
-            if mode == "selfsim":
-                samples = selfsim_sample(q, law, t, n_per_lag, seed=seed + i)
-            else:
-                rng = np.random.default_rng(seed + i)
-                w_t = bump_weight * max(0.0, 1.0 - (t / bump_t_end) ** bump_sharpness)
-                n_bump = int(round(w_t * n_per_lag))
-                parts = []
-                if n_bump > 0:
-                    parts.append(selfsim_sample(bump_q, bump_law, t, n_bump,
-                                                seed=rng.integers(2**63)))
-                parts.append(selfsim_sample(q, law, t, n_per_lag - n_bump,
+    for i, t in enumerate(lags):
+        t = float(t)
+        if mode == "selfsim":
+            samples = selfsim_sample(q, law, t, n_per_lag, seed=seed + i)
+        else:
+            rng = np.random.default_rng(seed + i)
+            w_t = bump_weight * max(0.0, 1.0 - (t / bump_t_end) ** bump_sharpness)
+            n_bump = int(round(w_t * n_per_lag))
+            parts = []
+            if n_bump > 0:
+                parts.append(selfsim_sample(bump_q, bump_law, t, n_bump,
                                             seed=rng.integers(2**63)))
-                samples = rng.permutation(np.concatenate(parts))
-            submit(_write_samples_csv, _samples_path(out, t), t, samples, meta)
+            parts.append(selfsim_sample(q, law, t, n_per_lag - n_bump,
+                                        seed=rng.integers(2**63)))
+            samples = rng.permutation(np.concatenate(parts))
+        _write_samples(_samples_path(out, t), t, samples, meta)
     write_json(out / "synth.json",
                {**meta, "lags": [float(t) for t in lags], "n_per_lag": n_per_lag})
     return out

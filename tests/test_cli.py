@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import shutil
@@ -5,11 +6,9 @@ import shutil
 import numpy as np
 import pytest
 
-from qdiff import cli
 from qdiff import regimes as reg
 from qdiff.cli import (
     RunConfig,
-    StageError,
     ValidationError,
     cmd_pipeline,
     cmd_synth,
@@ -30,12 +29,18 @@ def small_ensembles(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def small_run(small_ensembles, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run") / "run"
+    return cmd_pipeline(RunConfig(ensembles=str(small_ensembles), out=str(out), max_lag=100.0))
+
+
 class TestSynth:
     def test_files_and_metadata(self, tmp_path):
         lags = [1.0, 10.0]
         out = cmd_synth(tmp_path / "s", q=1.5, alpha=2.0, d_coef=1.0,
                         lags=lags, n_per_lag=100, seed=3)
-        files = sorted(out.glob("lag_*.csv"))
+        files = sorted(out.glob("lag_*.npy"))
         assert len(files) == 2
         meta = json.loads(files[0].with_suffix(".json").read_text())
         assert meta["lag"] == 1.0 and meta["n"] == 100
@@ -49,7 +54,7 @@ class TestSynth:
         meta = json.loads((out / "synth.json").read_text())
         assert meta["mode"] == "mixture"
         # past bump_t_end the lag holds only the wide component; both files exist
-        assert len(sorted(out.glob("lag_*.csv"))) == 2
+        assert len(sorted(out.glob("lag_*.npy"))) == 2
 
     def test_rejects_empty(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -84,6 +89,24 @@ class TestPipeline:
         h1 = {a["path"]: a["sha256"] for a in m1["artifacts"]}
         h2 = {a["path"]: a["sha256"] for a in m2["artifacts"]}
         assert h1 == h2
+
+    def test_ensemble_inputs_are_hashed(self, small_ensembles, small_run):
+        inputs = json.loads((small_run / "manifest.json").read_text())["inputs"]
+        paths = sorted(small_ensembles.glob("lag_*.npy"))
+        assert paths and sorted(inputs) == [str(p) for p in paths]
+        for p in paths:
+            copy = small_run / "ensembles" / p.name
+            assert inputs[str(p)] == hashlib.sha256(copy.read_bytes()).hexdigest()
+
+    def test_run_report_times_every_stage(self, small_run):
+        stage_s = json.loads((small_run / "run_report.json").read_text())["stage_s"]
+        assert set(stage_s) == {
+            "ensembles", "pdfs", "series", "regimes", "lag_fits",
+            "collapse", "governing", "d2_grid",
+        }
+        assert all(s >= 0.0 for s in stage_s.values())
+        manifest = json.loads((small_run / "manifest.json").read_text())
+        assert "run_report.json" not in {a["path"] for a in manifest["artifacts"]}
 
     def test_missing_input_fails_before_compute(self, tmp_path):
         cfg = RunConfig(input=str(tmp_path / "absent.csv"), out=str(tmp_path / "x"))
@@ -225,74 +248,77 @@ class TestStageFailure:
         assert code == 2
 
 
-def _repr_lines(samples: np.ndarray) -> bytes:
-    return ("return\n" + "\n".join(map(repr, samples.tolist())) + "\n").encode()
+BAD_SAMPLE_FILES = [
+    pytest.param(lambda p: np.save(p, np.ones((3, 2))), "1-D float64", id="two_dimensional"),
+    pytest.param(lambda p: np.save(p, np.arange(10)), "1-D float64", id="integer"),
+    pytest.param(lambda p: p.write_bytes(p.read_bytes()[:200]), "not a readable .npy",
+                 id="truncated"),
+    pytest.param(lambda p: np.save(p, np.array([0.1, None], dtype=object), allow_pickle=True),
+                 "not a readable .npy", id="pickled_objects"),
+    pytest.param(lambda p: np.save(p, np.array([0.1, np.inf])), "non-finite", id="non_finite"),
+    pytest.param(lambda p: p.with_suffix(".json").unlink(), "sidecar", id="missing_sidecar"),
+]
 
 
 class TestSampleFilesInWorkers:
-    """Per-lag sample files are written and parsed in a worker pool; the
-    bytes must equal a serial repr rendering, whatever the worker count."""
+    """Per-lag sample files are numpy .npy arrays holding the drawn doubles
+    to the bit; the pipeline copies them and refuses a bad file as a
+    validation error."""
 
-    LAGS = [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0]  # more than two files per worker
+    LAGS = [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0]
 
-    def test_synth_files_are_repr_of_the_seeded_draws(self, tmp_path):
+    def test_synth_files_are_the_seeded_draws(self, tmp_path):
         out = cmd_synth(tmp_path / "s", q=1.71, alpha=1.79, d_coef=0.1118,
                         lags=self.LAGS, n_per_lag=2000, seed=11)
         law = ScalingLaw(alpha=1.79, d_coef=0.1118)
         for i, t in enumerate(self.LAGS):
             expected = selfsim_sample(1.71, law, t, 2000, seed=11 + i)
-            assert (out / f"lag_{int(t):06d}.csv").read_bytes() == _repr_lines(expected)
-
-    def test_bytes_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
-        kwargs = dict(q=1.71, alpha=1.79, d_coef=0.1118, lags=self.LAGS,
-                      n_per_lag=500, seed=4, mode="mixture")
-        many = cmd_synth(tmp_path / "many", **kwargs)
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
-        one = cmd_synth(tmp_path / "one", **kwargs)
-        names = sorted(p.name for p in many.iterdir())
-        assert names == sorted(p.name for p in one.iterdir())
-        for name in names:
-            assert (many / name).read_bytes() == (one / name).read_bytes()
+            got = np.load(out / f"lag_{int(t):06d}.npy", allow_pickle=False)
+            assert got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
     def test_pipeline_copies_equal_synth_inputs(self, small_ensembles, tmp_path):
         out = cmd_pipeline(RunConfig(ensembles=str(small_ensembles),
                                      out=str(tmp_path / "run"), max_lag=100.0))
-        copies = sorted((out / "ensembles").glob("lag_*.csv"))
-        inputs = sorted(small_ensembles.glob("lag_*.csv"))
-        assert [p.name for p in copies] == [p.name for p in inputs]
+        copies = sorted((out / "ensembles").glob("lag_*.npy"))
+        inputs = sorted(small_ensembles.glob("lag_*.npy"))
+        assert inputs and [p.name for p in copies] == [p.name for p in inputs]
         for copy, src in zip(copies, inputs):
             assert copy.read_bytes() == src.read_bytes()
         # the bump-end fallback key is written only when the fallback fires
         assert "bump_end_rejected" not in json.loads((out / "partition.json").read_text())
 
-    def test_non_numeric_row_is_a_stage_error(self, small_ensembles, tmp_path):
-        ens = tmp_path / "ens"
-        shutil.copytree(small_ensembles, ens)
-        bad = sorted(ens.glob("lag_*.csv"))[2]
-        lines = bad.read_text().splitlines()
-        lines[5] = "not-a-number"
-        bad.write_text("\n".join(lines) + "\n")
+    @staticmethod
+    def _fails_in_ensembles(ens, tmp_path) -> str:
+        """Run the pipeline on ``ens``; check the failure; return FAILED's text."""
         run = tmp_path / "run"
         assert main(["pipeline", "--ensembles", str(ens), "--out", str(run),
-                     "--set", "max_lag=100"]) == 2
-        assert (run / "FAILED").read_text().startswith("ensembles")
+                     "--set", "max_lag=100"]) == 1
         manifest = json.loads((run / "manifest.json").read_text())
         assert manifest["failed_stage"] == "ensembles" and manifest["artifacts"] == []
-        # the worker's exception crosses the process boundary with its type
-        with pytest.raises(StageError) as info:
-            cmd_pipeline(RunConfig(ensembles=str(ens), out=str(tmp_path / "again")))
-        assert type(info.value.cause) is ValueError
+        report = json.loads((run / "run_report.json").read_text())
+        assert list(report["stage_s"]) == ["ensembles"]
+        failed = (run / "FAILED").read_text()
+        assert failed.startswith("ensembles")
+        return failed
 
-    def test_empty_directory_is_refused_before_any_worker(self, tmp_path, monkeypatch):
-        def no_pool(n_files):
-            raise AssertionError("a pool was started for an empty directory")
+    @pytest.mark.parametrize("spoil, message", BAD_SAMPLE_FILES)
+    def test_bad_sample_file_is_a_validation_error(self, small_ensembles, tmp_path,
+                                                   spoil, message):
+        ens = tmp_path / "ens"
+        shutil.copytree(small_ensembles, ens)
+        bad = sorted(ens.glob("lag_*.npy"))[2]
+        spoil(bad)
+        failed = self._fails_in_ensembles(ens, tmp_path)
+        assert bad.name in failed and message in failed
 
-        monkeypatch.setattr(cli, "_sample_pool", no_pool)
-        (tmp_path / "empty").mkdir()
-        with pytest.raises(StageError) as info:
-            cmd_pipeline(RunConfig(ensembles=str(tmp_path / "empty"), out=str(tmp_path / "run")))
-        assert info.value.stage == "ensembles"
-        assert isinstance(info.value.cause, ValidationError)
+    def test_text_sample_files_are_named_as_no_longer_read(self, small_ensembles, tmp_path):
+        ens = tmp_path / "ens"
+        shutil.copytree(small_ensembles, ens)
+        for path in ens.glob("lag_*.npy"):
+            np.savetxt(path.with_suffix(".csv"), np.load(path), header="return", comments="")
+            path.unlink()
+        assert "text sample files" in self._fails_in_ensembles(ens, tmp_path)
 
     def test_empty_directory_exits_as_validation_error(self, tmp_path):
         (tmp_path / "empty").mkdir()
