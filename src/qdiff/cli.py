@@ -16,7 +16,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -352,7 +352,7 @@ def _stage_regimes(cfg, out, state, record):
         t_bump_end=t_bump_end if t_bump_end is not None else cfg.t_bump_end,
     )
     ppath = out / "partition.json"
-    payload = json.loads(partition.to_json())
+    payload = asdict(partition)
     payload["boundary_fitted"] = boundary_fit is not None
     payload["n_lags_with_bump"] = len(detected)
     if rejected is not None:

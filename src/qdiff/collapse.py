@@ -2,8 +2,9 @@
 
 Fits are least squares in log-density space (balances tails and center on
 the log-scale plots the results are judged on) over grid points whose
-density exceeds a floor, with analytic gradients in (q, log beta) and a
-multi-start over q to escape the q/beta trade-off valley.
+density exceeds a floor, with a multi-start over q to escape the q/beta
+trade-off valley. The gradient in (q, log beta) is analytic for the log
+density and a central difference for the log window mass.
 """
 
 from __future__ import annotations
@@ -13,12 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import least_squares
-from scipy.special import digamma, ndtr, stdtr
 
 from qdiff._loglog import FitError, loglog_fit
 from qdiff.density import EmpiricalPdf
 from qdiff.io import write_json, write_table
-from qdiff.qgauss import QParams, ScalingLaw, log_c_q
+from qdiff.qgauss import (
+    Q_FIT_BOUNDS,
+    QParams,
+    ScalingLaw,
+    grid_mass,
+    log_qgauss,
+    log_qgauss_jac,
+)
 
 __all__ = [
     "CollapseResult",
@@ -32,7 +39,6 @@ __all__ = [
     "fit_qgauss",
 ]
 
-Q_BOUNDS = (1.0 + 1e-6, 3.0 - 1e-6)
 MULTISTART_Q = (1.2, 1.7, 2.2, 2.7)
 MAX_ITER = 500
 DENSITY_FLOOR = 1e-6  # relative to the peak; below this points carry no weight
@@ -81,50 +87,8 @@ class CollapseResult:
             raise ValueError(f"zone must be 'A' or 'C', got {self.zone!r}")
 
 
-def _log_qgauss_model(x2: np.ndarray, q: float, log_beta: float) -> np.ndarray:
-    beta = math.exp(log_beta)
-    qm1 = q - 1.0
-    return 0.5 * log_beta - log_c_q(q) - np.log1p(qm1 * beta * x2) / qm1
-
-
-def grid_mass(q: float, beta: float, lo: float, hi: float) -> float:
-    """Probability mass of a q-Gaussian inside [lo, hi].
-
-    Uses the exact Student-t correspondence: a q-Gaussian with 1 < q < 3
-    is a t distribution with nu = (3-q)/(q-1) degrees of freedom scaled
-    by 1/sqrt((3-q) beta). Heavy-tailed members hold substantial mass
-    outside any practical grid, which matters when fitting densities that
-    were renormalized over a finite span.
-
-    ``stdtr`` and ``ndtr`` are the ufuncs behind ``scipy.stats.t.cdf`` and
-    ``norm.cdf``; called directly they give the same bits without the
-    per-call argument handling, which costs far more than the evaluation
-    in the fit loops.
-    """
-    if abs(q - 1.0) <= 1e-8:
-        scale = 1.0 / math.sqrt(2.0 * beta)
-        return float(ndtr(hi / scale) - ndtr(lo / scale))
-    nu = (3.0 - q) / (q - 1.0)
-    scale = 1.0 / math.sqrt((3.0 - q) * beta)
-    return float(stdtr(nu, hi / scale) - stdtr(nu, lo / scale))
-
-
 def _log_grid_mass(q: float, log_beta: float, span: tuple[float, float]) -> float:
     return math.log(grid_mass(q, math.exp(log_beta), span[0], span[1]))
-
-
-def _log_qgauss_jac(x2: np.ndarray, q: float, log_beta: float) -> np.ndarray:
-    """Columns: d/dq and d/dlog(beta) of the log density."""
-    beta = math.exp(log_beta)
-    qm1 = q - 1.0
-    u = qm1 * beta * x2
-    frac = beta * x2 / (1.0 + u)
-    z1 = (3.0 - q) / (2.0 * qm1)
-    z2 = 1.0 / qm1
-    dlogcq = -0.5 / qm1 + (digamma(z2) - digamma(z1)) / (qm1 * qm1)
-    d_q = -dlogcq + np.log1p(u) / (qm1 * qm1) - frac / qm1
-    d_s = 0.5 - frac
-    return np.column_stack([d_q, d_s])
 
 
 def _fit_log_density(
@@ -153,45 +117,35 @@ def _fit_log_density(
         if span is None:
             return 0.0, 0.0
         hq, hs = 1e-6, 1e-6
-        q_lo = max(q - hq, Q_BOUNDS[0])
-        q_hi = min(q + hq, Q_BOUNDS[1])
+        q_lo = max(q - hq, Q_FIT_BOUNDS[0])
+        q_hi = min(q + hq, Q_FIT_BOUNDS[1])
         d_q = (_log_grid_mass(q_hi, log_beta, span)
                - _log_grid_mass(q_lo, log_beta, span)) / (q_hi - q_lo)
         d_s = (_log_grid_mass(q, log_beta + hs, span)
                - _log_grid_mass(q, log_beta - hs, span)) / (2.0 * hs)
         return d_q, d_s
 
-    if fix_beta_one:
-        def resid(theta):
-            return _log_qgauss_model(x2, theta[0], 0.0) - mass_term(theta[0], 0.0) - log_dens
+    n_par = 1 if fix_beta_one else 2
 
-        def jac(theta):
-            j = _log_qgauss_jac(x2, theta[0], 0.0)[:, :1]
-            j[:, 0] -= mass_grad(theta[0], 0.0)[0]
-            return j
+    def unpack(theta):
+        return theta[0], (theta[1] if n_par == 2 else 0.0)
 
-        bounds = ([Q_BOUNDS[0]], [Q_BOUNDS[1]])
-        starts = [np.array([q0]) for q0 in MULTISTART_Q]
-    else:
-        def resid(theta):
-            return (_log_qgauss_model(x2, theta[0], theta[1])
-                    - mass_term(theta[0], theta[1]) - log_dens)
+    def resid(theta):
+        q, log_beta = unpack(theta)
+        return log_qgauss(x2, q, log_beta) - mass_term(q, log_beta) - log_dens
 
-        def jac(theta):
-            j = _log_qgauss_jac(x2, theta[0], theta[1])
-            g_q, g_s = mass_grad(theta[0], theta[1])
-            j[:, 0] -= g_q
-            j[:, 1] -= g_s
-            return j
+    def jac(theta):
+        q, log_beta = unpack(theta)
+        j = log_qgauss_jac(x2, q, log_beta)[:, :n_par]
+        j -= np.asarray(mass_grad(q, log_beta))[:n_par]
+        return j
 
-        bounds = ([Q_BOUNDS[0], -60.0], [Q_BOUNDS[1], 60.0])
-        if beta_starts is None:
-            beta_starts = (1.0,)
-        starts = [
-            np.array([q0, math.log(b0)])
-            for q0 in MULTISTART_Q
-            for b0 in beta_starts
-        ]
+    bounds = ([Q_FIT_BOUNDS[0], -60.0][:n_par], [Q_FIT_BOUNDS[1], 60.0][:n_par])
+    starts = [
+        np.array([q0, math.log(b0)][:n_par])
+        for q0 in MULTISTART_Q
+        for b0 in beta_starts or (1.0,)
+    ]
 
     best = None
     for theta0 in starts:
@@ -211,7 +165,7 @@ def _fit_log_density(
     except np.linalg.LinAlgError:
         stderr = np.full(best.x.size, math.nan)
     q_hat = float(best.x[0])
-    log_beta_hat = float(best.x[1]) if not fix_beta_one else 0.0
+    log_beta_hat = float(unpack(best.x)[1])
     converged = bool(best.status > 0)
     return q_hat, log_beta_hat, rms, stderr, converged
 
@@ -271,7 +225,7 @@ def fit_qgauss(
     if not converged:
         raise FitError("q-Gaussian fit did not converge within the iteration cap")
     beta_hat = math.exp(log_beta)
-    at_edge = (q_hat - Q_BOUNDS[0] < 5e-6) or (Q_BOUNDS[1] - q_hat < 5e-6)
+    at_edge = (q_hat - Q_FIT_BOUNDS[0] < 5e-6) or (Q_FIT_BOUNDS[1] - q_hat < 5e-6)
     params = QParams(q=q_hat, beta=beta_hat)
     return LagFit(
         lag=p.lag,

@@ -1,9 +1,11 @@
 """Closed-form q-Gaussian mathematics.
 
 Provides the deformed exponential, the normalization constant of the
-q-Gaussian density on 1 < q < 3, density/log-density evaluation, exact
-sampling via the generalized Box-Muller transform, and the self-similar
-spreading family P(x, t) = g_q(x / w(t)) / w(t) with w(t) = (D t)^(1/alpha).
+q-Gaussian density on 1 < q < 3, density/log-density evaluation, the
+log density and its Jacobian in the fit coordinates (x^2, q, log beta),
+the probability mass inside a window, exact sampling via the generalized
+Box-Muller transform, and the self-similar spreading family
+P(x, t) = g_q(x / w(t)) / w(t) with w(t) = (D t)^(1/alpha).
 """
 
 from __future__ import annotations
@@ -12,20 +14,28 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import digamma, gammaln, ndtr, stdtr
 
 # |q - 1| below this tolerance is evaluated through the analytic
 # Gaussian/exponential limit; the closed forms lose precision there
 # (gamma arguments diverge) although the limit itself is regular.
 Q_LIMIT_TOL = 1e-8
 
+# Box bounds on q for least-squares fits: the closed interval just inside
+# the open window (1, 3) where the density is normalizable.
+Q_FIT_BOUNDS = (1.0 + 1e-6, 3.0 - 1e-6)
+
 __all__ = [
+    "Q_FIT_BOUNDS",
     "Q_LIMIT_TOL",
     "QDomainError",
     "QParams",
     "ScalingLaw",
     "c_q",
+    "grid_mass",
     "log_c_q",
+    "log_qgauss",
+    "log_qgauss_jac",
     "q_exponential",
     "qgauss_logpdf",
     "qgauss_pdf",
@@ -166,18 +176,60 @@ def c_q(q: float) -> float:
     return math.exp(log_c_q(q))
 
 
+def log_qgauss(x2, q: float, log_beta: float):
+    """log of the q-Gaussian density at squared positions ``x2``, q > 1.
+
+    Parametrized by log beta, the coordinate the fits work in; uses
+    log1p for stable far tails.
+    """
+    beta = math.exp(log_beta)
+    qm1 = q - 1.0
+    return 0.5 * log_beta - log_c_q(q) - np.log1p(qm1 * beta * x2) / qm1
+
+
+def log_qgauss_jac(x2: np.ndarray, q: float, log_beta: float) -> np.ndarray:
+    """Columns: d/dq and d/dlog(beta) of the log density."""
+    beta = math.exp(log_beta)
+    qm1 = q - 1.0
+    u = qm1 * beta * x2
+    frac = beta * x2 / (1.0 + u)
+    z1 = (3.0 - q) / (2.0 * qm1)
+    z2 = 1.0 / qm1
+    dlogcq = -0.5 / qm1 + (digamma(z2) - digamma(z1)) / (qm1 * qm1)
+    d_q = -dlogcq + np.log1p(u) / (qm1 * qm1) - frac / qm1
+    d_s = 0.5 - frac
+    return np.column_stack([d_q, d_s])
+
+
+def grid_mass(q: float, beta: float, lo: float, hi: float) -> float:
+    """Probability mass of a q-Gaussian inside [lo, hi].
+
+    Uses the exact Student-t correspondence: a q-Gaussian with 1 < q < 3
+    is a t distribution with nu = (3-q)/(q-1) degrees of freedom scaled
+    by 1/sqrt((3-q) beta). Heavy-tailed members hold substantial mass
+    outside any practical grid, which matters when fitting densities that
+    were renormalized over a finite span.
+
+    ``stdtr`` and ``ndtr`` are the ufuncs behind ``scipy.stats.t.cdf`` and
+    ``norm.cdf``; called directly they give the same bits without the
+    per-call argument handling, which costs far more than the evaluation
+    in the fit loops.
+    """
+    if abs(q - 1.0) <= Q_LIMIT_TOL:
+        scale = 1.0 / math.sqrt(2.0 * beta)
+        return float(ndtr(hi / scale) - ndtr(lo / scale))
+    nu = (3.0 - q) / (q - 1.0)
+    scale = 1.0 / math.sqrt((3.0 - q) * beta)
+    return float(stdtr(nu, hi / scale) - stdtr(nu, lo / scale))
+
+
 def qgauss_logpdf(x, p: QParams):
-    """log of the q-Gaussian density; uses log1p for stable far tails."""
+    """log of the q-Gaussian density."""
     x = np.asarray(x, dtype=float)
     if p.is_gaussian:
         out = 0.5 * math.log(p.beta / math.pi) - p.beta * x * x
     else:
-        qm1 = p.q - 1.0
-        out = (
-            0.5 * math.log(p.beta)
-            - log_c_q(p.q)
-            - np.log1p(qm1 * p.beta * x * x) / qm1
-        )
+        out = log_qgauss(x * x, p.q, math.log(p.beta))
     return out if out.ndim else float(out)
 
 

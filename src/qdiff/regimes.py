@@ -12,7 +12,6 @@ what makes the detector specific.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from scipy.signal import savgol_filter
 from qdiff._loglog import FitError, loglog_fit
 from qdiff.density import EmpiricalPdf
 from qdiff.io import write_table
-from qdiff.qgauss import log_c_q
+from qdiff.qgauss import Q_FIT_BOUNDS, log_qgauss
 
 __all__ = [
     "BoundaryFit",
@@ -83,19 +82,6 @@ class RegimePartition:
             inside = np.abs(x) < self.boundary(t)
             labels[inside] = "A" if t < self.t_cross_start else "B"
         return labels
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "a": self.a,
-                "nu": self.nu,
-                "t0": self.t0,
-                "t_cross_start": self.t_cross_start,
-                "t_bump_end": self.t_bump_end,
-            },
-            indent=2,
-            sort_keys=True,
-        )
 
 
 def partition_zones(boundary, t_cross_start: float, t_bump_end: float) -> RegimePartition:
@@ -198,11 +184,6 @@ def _innermost_spike(log_pos, curv, threshold: float, min_run: float) -> int | N
     return None
 
 
-def _log_qgauss_unit(x2: np.ndarray, q: float, log_beta: float) -> np.ndarray:
-    beta = math.exp(log_beta)
-    return 0.5 * log_beta - log_c_q(q) - np.log1p((q - 1.0) * beta * x2) / (q - 1.0)
-
-
 def _two_component_crossing(log_pos, logp, x_spike: float) -> float | None:
     """Refine the bump edge by a local two-q-Gaussian decomposition.
 
@@ -223,12 +204,13 @@ def _two_component_crossing(log_pos, logp, x_spike: float) -> float | None:
         amp, logit_w, q1, lb1, q2, lb2 = theta
         w = 1.0 / (1.0 + math.exp(-logit_w))
         return amp + np.logaddexp(
-            math.log(w) + _log_qgauss_unit(x2, q1, lb1),
-            math.log1p(-w) + _log_qgauss_unit(x2, q2, lb2),
+            math.log(w) + log_qgauss(x2, q1, lb1),
+            math.log1p(-w) + log_qgauss(x2, q2, lb2),
         )
 
-    lo = [-3.0, -7.0, 1.0 + 1e-6, -60.0, 1.0 + 1e-6, -60.0]
-    hi = [3.0, 7.0, 3.0 - 1e-6, 60.0, 3.0 - 1e-6, 60.0]
+    q_lo, q_hi = Q_FIT_BOUNDS
+    lo = [-3.0, -7.0, q_lo, -60.0, q_lo, -60.0]
+    hi = [3.0, 7.0, q_hi, 60.0, q_hi, 60.0]
     best = None
     for core_factor in (4.0, 40.0, 400.0):
         for q1_0, q2_0 in ((2.5, 1.6), (2.0, 1.3)):
@@ -251,8 +233,8 @@ def _two_component_crossing(log_pos, logp, x_spike: float) -> float | None:
 
     def imbalance(xx):
         x2v = xx * xx
-        return (math.log(w) + float(_log_qgauss_unit(x2v, q1, lb1))) - (
-            math.log1p(-w) + float(_log_qgauss_unit(x2v, q2, lb2))
+        return (math.log(w) + float(log_qgauss(x2v, q1, lb1))) - (
+            math.log1p(-w) + float(log_qgauss(x2v, q2, lb2))
         )
 
     scan = np.geomspace(x_spike / 30.0, min(x_max, x_spike * 30.0), 600)

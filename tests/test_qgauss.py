@@ -12,7 +12,10 @@ from qdiff.qgauss import (
     QParams,
     ScalingLaw,
     c_q,
+    log_qgauss,
+    log_qgauss_jac,
     q_exponential,
+    qgauss_logpdf,
     qgauss_pdf,
     qgauss_sample,
     qgauss_variance,
@@ -118,6 +121,29 @@ class TestDensity:
         assert qgauss_variance(QParams(1.5, 2.0)) == pytest.approx(1.0 / (2.0 * 0.5), rel=1e-12)
         assert math.isinf(qgauss_variance(QParams(1.7, 1.0)))
         assert qgauss_variance(QParams.gaussian(0.5)) == pytest.approx(1.0)
+
+
+class TestLogDensityCore:
+    @pytest.mark.parametrize("q", [1.2, 1.71, 2.5, 2.9])
+    @pytest.mark.parametrize("log_beta", [-3.0, 0.0, 5.0])
+    def test_jacobian_matches_central_differences(self, q, log_beta):
+        x2 = np.geomspace(1e-6, 1e6, 49) / math.exp(log_beta)
+        h = 1e-6
+        fd_q = (log_qgauss(x2, q + h, log_beta) - log_qgauss(x2, q - h, log_beta)) / (2 * h)
+        fd_s = (log_qgauss(x2, q, log_beta + h) - log_qgauss(x2, q, log_beta - h)) / (2 * h)
+        jac = log_qgauss_jac(x2, q, log_beta)
+        assert jac.shape == (x2.size, 2)
+        np.testing.assert_allclose(jac[:, 0], fd_q, rtol=1e-6, atol=1e-6)
+        np.testing.assert_allclose(jac[:, 1], fd_s, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("q", [1.0 + 1e-6, 1.26, 1.71, 2.2, 2.73, 3.0 - 1e-6])
+    @pytest.mark.parametrize("beta", [1e-4, 0.3, 1.0, 4793.0, 1e6])
+    def test_logpdf_is_the_core_bit_for_bit(self, q, beta):
+        x = np.linspace(-50.0, 50.0, 2001) / math.sqrt(beta)
+        got = qgauss_logpdf(x, QParams(q, beta))
+        want = log_qgauss(x * x, q, math.log(beta))
+        assert np.array_equal(got, want)
+        assert qgauss_logpdf(float(x[7]), QParams(q, beta)) == float(want[7])
 
 
 class TestSampler:
