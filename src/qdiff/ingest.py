@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -130,15 +131,100 @@ def load_series(
 ) -> IndexSeries:
     """Load an index series from a two-column CSV file.
 
-    The header row is auto-detected when ``has_header`` is None.
-    Timestamps may be numeric minutes or ISO-8601; values must be finite.
-    Unparseable rows, duplicate or non-monotone timestamps raise a
-    SchemaError naming the offending line number(s).
+    The header row is auto-detected when ``has_header`` is None: a first
+    row with a field that does not parse is a header. Timestamps may be
+    numeric minutes or ISO-8601; values must be finite. Unparseable rows,
+    duplicate or non-monotone timestamps raise a SchemaError naming the
+    offending line number(s), blank lines counted.
+
+    A file of at least two rows whose two columns are all finite plain
+    numbers, with nothing but empty lines between them, is read by numpy's
+    C reader. Every other file (ISO-8601 timestamps, whitespace-only lines,
+    ``#`` comments, unparseable or short rows, non-finite values, ``1_000``
+    digit groups, fewer than two rows) is read by the ``csv`` row loop,
+    which alone parses ISO-8601 timestamps and words every error. Both
+    read the same dialect and convert numbers with the same correctly
+    rounded routine as ``float()``, so they return the same bits.
     """
     path = Path(path)
-    needed = max(timestamp_column, value_column) + 1
+    columns = (timestamp_column, value_column)
+    header_lines = _header_lines(path, delimiter, has_header, columns)
+    table = _read_table(path, delimiter, header_lines, columns)
+    if table is None:
+        ts, values, lines = _read_rows(path, delimiter, header_lines > 0, columns)
+    else:
+        ts, values = np.ascontiguousarray(table.T)  # contiguous, as the row loop's arrays are
+        lines = None
+
+    diffs = np.diff(ts)
+    bad = np.flatnonzero(diffs <= 0.0)[:10]
+    if bad.size:
+        if lines is None:  # the C reader keeps no line numbers; the row loop does
+            lines = _read_rows(path, delimiter, header_lines > 0, columns)[2]
+        kind = "duplicated" if np.any(diffs == 0.0) else "non-monotone"
+        at = ", ".join(str(lines[i + 1]) for i in bad)
+        raise SchemaError(f"{path}: {kind} timestamp at line(s) {at}")
+
+    interval = float(np.median(diffs))
+    gap_idx = np.flatnonzero(diffs > interval * (1.0 + 1e-9))
+    gaps = tuple((int(i), float(diffs[i])) for i in gap_idx)
+    return IndexSeries(timestamps=ts, values=values, gaps=gaps)
+
+
+def _header_lines(path: Path, delimiter: str, has_header: bool | None, columns) -> int:
+    """File lines taken by a header row at the top of the file, 0 if none.
+
+    A blank or short first row is never a header. Otherwise it is one when
+    ``has_header`` is True, or when it is None and a field does not parse.
+    A quoted header field may span lines, hence a count and not a flag.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        row = next(reader, [])
+    if all(not cell.strip() for cell in row) or len(row) < max(columns) + 1:
+        return 0
+    if has_header is None:
+        try:
+            _parse_timestamp(row[columns[0]].strip())
+            float(row[columns[1]].strip())
+            has_header = False
+        except ValueError:
+            has_header = True
+    return reader.line_num if has_header else 0
+
+
+def _read_table(path: Path, delimiter: str, header_lines: int, columns) -> np.ndarray | None:
+    """(rows, 2) float64 table from numpy's C reader, or None to hand the
+    file to the row loop: when a field does not parse as a plain number,
+    when fewer than two rows remain, or when a value is not finite.
+
+    ``quotechar='"'`` reads quoted cells as ``csv.reader`` does; without it
+    a quoted cell holding a line break would split one row into two. The
+    file is passed open, because given a path numpy decompresses any file
+    named ``*.gz``, ``*.bz2``, ``*.xz`` or ``*.lzma``, which the row loop
+    reads as text.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            # an empty or header-only file goes to the row loop, which says so
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(fh, delimiter=delimiter, skiprows=header_lines, usecols=columns,
+                               comments=None, quotechar='"', ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if len(table) < 2 or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _read_rows(path: Path, delimiter: str, skip_first: bool, columns):
+    """The ``csv`` row loop: timestamps, values and the line number of
+    each kept row, or a SchemaError naming the bad lines (first ten)."""
+    ts_col, val_col = columns
+    needed = max(columns) + 1
     timestamps: list[float] = []
     values: list[float] = []
+    lines: list[int] = []
     bad_lines: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
@@ -148,21 +234,11 @@ def load_series(
             if len(row) < needed:
                 bad_lines.append((line_no, f"expected >= {needed} columns, got {len(row)}"))
                 continue
-            ts_text = row[timestamp_column].strip()
-            val_text = row[value_column].strip()
-            if line_no == 1 and has_header is not False:
-                # Auto-detect: a first row with a non-parsing field is a header.
-                try:
-                    _parse_timestamp(ts_text)
-                    float(val_text)
-                except ValueError:
-                    if has_header is None or has_header:
-                        continue
-                if has_header:
-                    continue
+            if line_no == 1 and skip_first:
+                continue
             try:
-                ts = _parse_timestamp(ts_text)
-                val = float(val_text)
+                ts = _parse_timestamp(row[ts_col].strip())
+                val = float(row[val_col].strip())
             except ValueError as exc:
                 bad_lines.append((line_no, str(exc)))
                 continue
@@ -171,38 +247,14 @@ def load_series(
                 continue
             timestamps.append(ts)
             values.append(val)
+            lines.append(line_no)
     if bad_lines:
         detail = "; ".join(f"line {n}: {msg}" for n, msg in bad_lines[:10])
         more = "" if len(bad_lines) <= 10 else f" (+{len(bad_lines) - 10} more)"
         raise SchemaError(f"{path}: unparseable rows: {detail}{more}")
     if len(timestamps) < 2:
         raise SchemaError(f"{path}: need at least two data rows")
-
-    ts = np.asarray(timestamps)
-    diffs = np.diff(ts)
-    if np.any(diffs <= 0.0):
-        # Report in file line numbers: data row i is line i+1 with a header.
-        offset = 2 if has_header or (has_header is None and _file_has_header(path, delimiter, timestamp_column)) else 1
-        bad = np.flatnonzero(diffs <= 0.0)[:10] + offset + 1
-        kind = "duplicated" if np.any(diffs == 0.0) else "non-monotone"
-        raise SchemaError(f"{path}: {kind} timestamp at line(s) {', '.join(map(str, bad))}")
-
-    interval = float(np.median(diffs))
-    gap_idx = np.flatnonzero(diffs > interval * (1.0 + 1e-9))
-    gaps = tuple((int(i), float(diffs[i])) for i in gap_idx)
-    return IndexSeries(timestamps=ts, values=np.asarray(values), gaps=gaps)
-
-
-def _file_has_header(path, delimiter, ts_col) -> bool:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        row = next(csv.reader(fh, delimiter=delimiter), None)
-    if not row or len(row) <= ts_col:
-        return False
-    try:
-        _parse_timestamp(row[ts_col].strip())
-        return False
-    except ValueError:
-        return True
+    return np.asarray(timestamps), np.asarray(values), lines
 
 
 def gap_report(series: IndexSeries) -> dict:

@@ -247,6 +247,16 @@ class TestStageFailure:
                      "--out", str(tmp_path / "r2"), "--set", "max_lag=10"])
         assert code == 2
 
+    def test_bad_index_csv_fails_the_ensembles_stage(self, tmp_path):
+        bad = tmp_path / "index.csv"
+        bad.write_text("minute,level\n0,100\n1,101\n\nbad,102\n3,103\n")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--input", str(bad), "--out", str(out)]) == 1
+        failed = (out / "FAILED").read_text()
+        assert failed.startswith("ensembles") and "line 5" in failed
+        report = json.loads((out / "run_report.json").read_text())
+        assert list(report["stage_s"]) == ["ensembles"]
+
 
 BAD_SAMPLE_FILES = [
     pytest.param(lambda p: np.save(p, np.ones((3, 2))), "1-D float64", id="two_dimensional"),

@@ -1,6 +1,15 @@
+import re
+import tempfile
+import warnings
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdiff import ingest
 from qdiff.ingest import (
     IndexSeries,
     ReturnEnsemble,
@@ -73,6 +82,131 @@ class TestLoadSeries:
         path = write(tmp_path, lines + "\n", name="big.csv")
         s = load_series(path)
         assert len(s) == n
+
+    def test_duplicate_line_counts_blank_lines(self, tmp_path):
+        # the reported line is the file line of the later row, so blank
+        # lines before it count
+        cases = [("t,v\n\n1,10\n2,11\n\n3,12\n3,13\n", "line(s) 7"),
+                 ("1,10\n\n2,11\n2,12\n", "line(s) 4")]
+        for i, (text, where) in enumerate(cases):
+            with pytest.raises(SchemaError, match=rf"duplicated timestamp at {re.escape(where)}$"):
+                load_series(write(tmp_path, text, name=f"dup{i}.csv"))
+
+
+# Each case is written with "," and read with every delimiter below, so a
+# case also runs with its commas replaced by ";", a tab or a space.
+READER_CASES = {
+    "plain": "0,100\n1,101\n2,103\n",
+    "header": "t,v\n0,100\n1,101\n",
+    "crlf": "t,v\r\n0,100\r\n1,101\r\n",
+    "lone_cr": "0,100\r1,101\r2,102\r",
+    "blank_lines": "\n0,100\n\n1,101\n\n",
+    "whitespace_lines": "0,100\n   \n1,101\n \t \n2,102\n",
+    "whitespace_cells": "0,100\n , \n1,101\n",
+    "spaces_around_cells": " 0 , 100 \n 1 ,101\n2, 102 \n",
+    "unicode_spaces": "0\xa0,100\n1,101\u2003\n2,102\n",
+    "quoted": '"0","100"\n"1",101\n',
+    "quoted_header": '"t","v"\n0,100\n1,101\n',
+    "quoted_delimiter": '0,100,"x,y"\n1,101,"z"\n',
+    "quoted_line_break": '0,100,"a\n1,101,b"\n2,102\n3,103\n',
+    "quoted_header_line_break": '"t\n9,9",v\n0,100\n1,101\n',
+    "extra_columns": "0,100,x\n1,101,y\n2,102,z\n",
+    "ragged": "0,100\n1,101,extra,more\n2,102\n",
+    "short_row": "0,100\n1\n2,102\n",
+    "short_first_row": "0\n1,101\n2,102\n",
+    "comment_first": "# comment\n0,100\n1,101\n",
+    "comment_mid": "0,100\n#c\n1,101\n",
+    "nan": "0,100\n1,nan\n2,102\n",
+    "infinity": "0,100\n1,Infinity\n2,-inf\n",
+    "overflow": "0,100\n1,1e999\n2,102\n",
+    "underscore": "0,1_000\n1,1001\n",
+    "bom": "\ufeff0,100\n1,101\n2,102\n",
+    "bom_header": "\ufefft,v\n0,100\n1,101\n",
+    "empty": "",
+    "header_only": "t,v\n",
+    "one_row": "0,100\n",
+    "header_one_row": "t,v\n0,100\n",
+    "duplicate": "t,v\n\n1,10\n2,11\n\n3,12\n3,13\n",
+    "non_monotone": "0,100\n5,101\n3,102\n\n4,1\n",
+    "iso8601": "2020-01-02T09:30:00,100\n2020-01-02T09:31:00,101\n2020-01-02T09:32:00,99\n",
+    "gaps": "0,1\n1,2\n2,3\n10,4\n11,5\n",
+    "many_bad_rows": "".join(f"x{i},1\n" for i in range(15)),
+    "signed_zero_subnormal": "-0,-0\n1,-0.0\n2,1e-320\n",
+    "exponents": "1e2,1E-3\n2e2,.5\n3e2,5.\n",
+}
+DELIMITERS = [",", ";", "\t", " "]
+
+
+def outcome(path, **kwargs):
+    """load_series as bit patterns and gaps, or the error it raised; a
+    warning that reaches the caller fails the comparison."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            s = load_series(path, **kwargs)
+        except Exception as exc:
+            return type(exc).__name__, str(exc)
+    return s.timestamps.view(np.uint64).tolist(), s.values.view(np.uint64).tolist(), s.gaps
+
+
+def row_loop_outcome(path, **kwargs):
+    """The same call with the C reader handing every file to the row loop."""
+    with mock.patch.object(ingest, "_read_table", return_value=None):
+        return outcome(path, **kwargs)
+
+
+class TestCReaderMatchesRowLoop:
+    """numpy's C reader returns what the csv row loop returns, bit for bit,
+    or hands the file to the row loop, whose result or error is the answer."""
+
+    @pytest.mark.parametrize("name", sorted(READER_CASES))
+    def test_edge_case(self, tmp_path, name):
+        for i, delimiter in enumerate(DELIMITERS):
+            path = tmp_path / f"{name}-{i}.csv"
+            path.write_bytes(READER_CASES[name].replace(",", delimiter).encode("utf-8"))
+            for has_header in (None, True, False):
+                for ts_col, val_col in ((0, 1), (1, 0)):
+                    kwargs = dict(delimiter=delimiter, has_header=has_header,
+                                  timestamp_column=ts_col, value_column=val_col)
+                    assert outcome(path, **kwargs) == row_loop_outcome(path, **kwargs), kwargs
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_read_as_text(self, tmp_path, suffix):
+        path = write(tmp_path, "0,100\n1,101\n2,103\n", name=f"series.csv{suffix}")
+        assert outcome(path) == row_loop_outcome(path)
+        assert len(load_series(path)) == 3
+
+    def test_numeric_file_takes_the_c_reader(self, tmp_path):
+        path = write(tmp_path, "minute,level\n0,100.25\n1,99.5\n3,101\n")
+        with mock.patch.object(ingest, "_read_rows") as row_loop:
+            s = load_series(path)
+        row_loop.assert_not_called()
+        assert s.gaps == ((1, 2.0),) and np.array_equal(s.values, [100.25, 99.5, 101.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from([1, 1, 1, 2, 7, 0, -1]),
+                      st.floats(-1e12, 1e12, allow_nan=False),
+                      st.integers(0, 2)),
+            max_size=40),
+        fmt=st.sampled_from([repr, "{:.4f}".format, "{:.6e}".format]),
+        header=st.booleans(),
+        delimiter=st.sampled_from(DELIMITERS),
+        newline=st.sampled_from(["\n", "\r\n"]),
+    )
+    def test_random_numeric_files(self, rows, fmt, header, delimiter, newline):
+        # rows are (timestamp step, value, blank lines before the row)
+        lines = ["minute" + delimiter + "level"] if header else []
+        t = 0
+        for step, value, blanks in rows:
+            t += step
+            lines += [""] * blanks + [f"{t}{delimiter}{fmt(value)}"]
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "series.csv"
+            path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+            kwargs = dict(delimiter=delimiter)
+            assert outcome(path, **kwargs) == row_loop_outcome(path, **kwargs)
 
 
 class TestReturnsAtLag:
