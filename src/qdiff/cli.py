@@ -1,10 +1,11 @@
 """Command-line pipeline: ingest, densities, regimes, collapse, equation checks.
 
-Subcommands: pipeline, synth, verify-pme, fit, collapse, d2-grid. All
-tabular outputs are CSV with numbers written to 17 significant digits,
-per-lag samples are numpy .npy files, and metadata is JSON, so reruns
-with the same configuration and seed are byte-identical. Exit codes: 0
-success, 1 validation error, 2 computation error.
+Subcommands: pipeline, synth, verify-pme, fit, collapse, d2-grid. Per-lag
+samples, density grids and collapse clouds are numpy .npy arrays, the
+smaller tables are CSV with numbers written to 17 significant digits, and
+metadata is JSON, so reruns with the same configuration and seed are
+byte-identical. Exit codes: 0 success, 1 validation error, 2 computation
+error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from qdiff import density as dns
 from qdiff import ingest as ing
 from qdiff import pme
 from qdiff import regimes as reg
-from qdiff.io import write_json, write_table
+from qdiff.io import read_array, write_array, write_json, write_table
 from qdiff.qgauss import ScalingLaw, selfsim_sample
 
 __all__ = ["RunConfig", "cmd_pipeline", "cmd_synth", "cmd_verify_pme", "main"]
@@ -145,9 +146,7 @@ def _samples_path(directory: Path, lag: float) -> Path:
 
 
 def _write_samples(path: Path, lag: float, samples: np.ndarray, meta: dict) -> None:
-    # numpy's own format stores the doubles as they are, so a file round-trips
-    # exactly and the same samples always give the same bytes
-    np.save(path, np.asarray(samples, dtype=float), allow_pickle=False)
+    write_array(path, samples)
     write_json(path.with_suffix(".json"), {"lag": lag, "n": int(samples.size), **meta})
 
 
@@ -159,12 +158,9 @@ def _read_samples(path: Path) -> ing.ReturnEnsemble:
     the file.
     """
     try:
-        with open(path, "rb") as fh:
-            samples = np.load(fh, allow_pickle=False)
-    except (OSError, ValueError, EOFError) as exc:
-        raise ValidationError(f"{path}: not a readable .npy sample file ({exc})") from exc
-    if not isinstance(samples, np.ndarray):
-        raise ValidationError(f"{path}: is an .npz archive, not a .npy array")
+        samples = read_array(path)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     if samples.ndim != 1 or samples.dtype != np.float64:
         raise ValidationError(f"{path}: expected a 1-D float64 array, "
                               f"got {samples.dtype!r} of shape {samples.shape}")
@@ -290,7 +286,7 @@ def _stage_pdfs(cfg, out, state, record):
         wide = dns.kde(ens, bandwidth=h, grid=cfg.grid_points)
         core_pdfs.append(core)
         wide_pdfs.append(wide)
-        path = pdf_dir / f"pdf_{int(round(ens.lag)):06d}.csv"
+        path = pdf_dir / f"pdf_{int(round(ens.lag)):06d}.npy"
         dns.write_pdf_csv(core, path)
         record("pdfs", path)
     state["core_pdfs"] = core_pdfs
@@ -416,8 +412,8 @@ def _stage_collapse(cfg, out, state, record):
         grid_masses=masses,
     )
     results["weak"] = clp.fit_collapsed(pts_weak, scaling, zone="C")
-    clp.write_collapsed_csv(pts_weak, out / "collapsed_weak.csv")
-    record("collapse", out / "collapsed_weak.csv")
+    clp.write_collapsed_csv(pts_weak, out / "collapsed_weak.npy")
+    record("collapse", out / "collapsed_weak.npy")
 
     if state["has_bumps"]:
         strong_pdfs = [
@@ -435,8 +431,8 @@ def _stage_collapse(cfg, out, state, record):
             )
             try:
                 results["strong"] = clp.fit_collapsed(pts_strong, strong_scaling, zone="A")
-                clp.write_collapsed_csv(pts_strong, out / "collapsed_strong.csv")
-                record("collapse", out / "collapsed_strong.csv")
+                clp.write_collapsed_csv(pts_strong, out / "collapsed_strong.npy")
+                record("collapse", out / "collapsed_strong.npy")
             except clp.FitError:
                 pass
 
@@ -632,6 +628,23 @@ def cmd_verify_pme(
     return report
 
 
+# --- stored pdfs -----------------------------------------------------------
+
+_TEXT_PDF_HINT = ("text pdfs (pdf_*.csv) are no longer read; convert each, keeping its "
+                 'sidecar, with np.save(path.with_suffix(".npy"), '
+                 'np.loadtxt(path, delimiter=",", skiprows=1))')
+
+
+def _read_pdf(path: Path) -> dns.EmpiricalPdf:
+    """``dns.read_pdf_csv`` with every refusal a ValidationError."""
+    if path.suffix == ".csv":
+        raise ValidationError(f"{path}: {_TEXT_PDF_HINT}")
+    try:
+        return dns.read_pdf_csv(path)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 # --- argument parsing -------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
@@ -679,13 +692,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--refinements", type=int, default=3)
     p.add_argument("--out", default="", help="write the JSON report here")
 
-    p = sub.add_parser("fit", help="fit a q-Gaussian to one pdf CSV")
-    p.add_argument("--pdf", required=True, help="pdf CSV written by the pipeline")
+    p = sub.add_parser("fit", help="fit a q-Gaussian to one stored pdf")
+    p.add_argument("--pdf", required=True, help="pdf_NNNNNN.npy written by the pipeline")
     p.add_argument("--window", type=float, nargs=2, default=None)
     p.add_argument("--out", default="")
 
     p = sub.add_parser("collapse", help="collapse stored pdfs under a scaling law")
-    p.add_argument("--pdfs", required=True, help="directory of pdf_*.csv files")
+    p.add_argument("--pdfs", required=True, help="directory of pdf_*.npy files")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--d-coef", type=float, required=True)
     p.add_argument("--out", required=True)
@@ -748,7 +761,7 @@ def _run(args) -> int:
         return 0
 
     if args.command == "fit":
-        pdf = dns.read_pdf_csv(args.pdf)
+        pdf = _read_pdf(Path(args.pdf))
         window = tuple(args.window) if args.window else None
         fit = clp.fit_qgauss(pdf, restriction=window)
         payload = {
@@ -765,15 +778,18 @@ def _run(args) -> int:
 
     if args.command == "collapse":
         pdf_dir = Path(args.pdfs)
-        pdfs = [dns.read_pdf_csv(p) for p in sorted(pdf_dir.glob("pdf_*.csv"))]
+        paths = sorted(pdf_dir.glob("pdf_*.npy"))
+        if not paths and any(pdf_dir.glob("pdf_*.csv")):
+            raise ValidationError(f"no pdf_*.npy files under {pdf_dir}; {_TEXT_PDF_HINT}")
+        pdfs = [_read_pdf(p) for p in paths]
         if len(pdfs) < 2:
-            raise ValidationError(f"need >= 2 pdf_*.csv files under {pdf_dir}")
+            raise ValidationError(f"need >= 2 pdf_*.npy files under {pdf_dir}")
         scaling = ScalingLaw(alpha=args.alpha, d_coef=args.d_coef)
         pts = clp.collapse_pdfs(pdfs, scaling)
         res = clp.fit_collapsed(pts, scaling)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        clp.write_collapsed_csv(pts, out / "collapsed.csv")
+        clp.write_collapsed_csv(pts, out / "collapsed.npy")
         clp.write_collapse_json(res, out / "collapse.json")
         print(f"collapse q={res.q:.6g} residual={res.collapse_residual:.6g}")
         return 0

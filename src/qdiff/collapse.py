@@ -17,7 +17,7 @@ from scipy.optimize import least_squares
 
 from qdiff._loglog import FitError, loglog_fit
 from qdiff.density import EmpiricalPdf
-from qdiff.io import write_json, write_table
+from qdiff.io import write_array, write_json
 from qdiff.qgauss import (
     Q_FIT_BOUNDS,
     QParams,
@@ -408,5 +408,11 @@ def write_collapse_json(result: CollapseResult, path) -> None:
 
 
 def write_collapsed_csv(points: np.ndarray, path) -> None:
-    """Rescaled point cloud as CSV (x_rescaled, p_rescaled, lag)."""
-    write_table(path, ["x_rescaled", "p_rescaled", "lag"], points)
+    """Rescaled point cloud as an (n, 3) float64 ``.npy`` array at exactly
+    ``path``, columns x_rescaled, p_rescaled, lag.
+
+    The name predates the ``.npy`` format.
+    """
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise ValueError(f"points must be a 2-d array with 3 columns, got shape {points.shape}")
+    write_array(path, points)

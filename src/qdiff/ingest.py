@@ -11,7 +11,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -109,15 +109,26 @@ class ReturnEnsemble:
 
 
 def _parse_timestamp(text: str) -> float:
-    """Numeric minutes, or ISO-8601 converted to epoch minutes."""
+    """Numeric minutes, or ISO-8601 converted to epoch minutes.
+
+    ISO-8601 stamps take the extended forms that ``datetime.fromisoformat``
+    reads on Python 3.10, such as ``2020-01-02T09:30:00`` or
+    ``2020-01-02 09:30:00+01:00``, plus a trailing ``Z`` for UTC. A stamp
+    without an offset is read as UTC, never in the machine's local time, so
+    a file gives the same minutes on every machine. The basic forms without
+    separators, such as ``20200102T093000``, are out of scope: Python 3.11
+    reads them and 3.10 does not.
+    """
     try:
         return float(text)
     except ValueError:
         pass
     try:
-        stamp = datetime.fromisoformat(text)
+        stamp = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
     except ValueError as exc:
         raise ValueError(f"cannot parse timestamp {text!r}") from exc
+    if stamp.tzinfo is None:
+        stamp = stamp.replace(tzinfo=timezone.utc)
     return stamp.timestamp() / 60.0
 
 
@@ -133,9 +144,11 @@ def load_series(
 
     The header row is auto-detected when ``has_header`` is None: a first
     row with a field that does not parse is a header. Timestamps may be
-    numeric minutes or ISO-8601; values must be finite. Unparseable rows,
+    numeric minutes or ISO-8601 (UTC unless they carry an offset; see
+    ``_parse_timestamp``); values must be finite. Unparseable rows,
     duplicate or non-monotone timestamps raise a SchemaError naming the
-    offending line number(s), blank lines counted.
+    offending file line(s), blank lines counted; a row whose quoted cell
+    spans lines is named by its first line.
 
     A file of at least two rows whose two columns are all finite plain
     numbers, with nothing but empty lines between them, is read by numpy's
@@ -218,7 +231,7 @@ def _read_table(path: Path, delimiter: str, header_lines: int, columns) -> np.nd
 
 
 def _read_rows(path: Path, delimiter: str, skip_first: bool, columns):
-    """The ``csv`` row loop: timestamps, values and the line number of
+    """The ``csv`` row loop: timestamps, values and the first file line of
     each kept row, or a SchemaError naming the bad lines (first ten)."""
     ts_col, val_col = columns
     needed = max(columns) + 1
@@ -228,13 +241,15 @@ def _read_rows(path: Path, delimiter: str, skip_first: bool, columns):
     bad_lines: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        for line_no, row in enumerate(reader, start=1):
+        next_line = 1  # a quoted cell may span lines: name each record by its first
+        for record_no, row in enumerate(reader, start=1):
+            line_no, next_line = next_line, reader.line_num + 1
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) < needed:
                 bad_lines.append((line_no, f"expected >= {needed} columns, got {len(row)}"))
                 continue
-            if line_no == 1 and skip_first:
+            if record_no == 1 and skip_first:
                 continue
             try:
                 ts = _parse_timestamp(row[ts_col].strip())

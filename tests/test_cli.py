@@ -200,7 +200,7 @@ class TestMainEntry:
         code = main(["pipeline", "--ensembles", str(small_ensembles),
                      "--out", str(out), "--set", "max_lag=100"])
         assert code == 0
-        pdf_files = sorted((out / "pdfs").glob("pdf_*.csv"))
+        pdf_files = sorted((out / "pdfs").glob("pdf_*.npy"))
         fit_out = tmp_path / "fit.json"
         assert main(["fit", "--pdf", str(pdf_files[0]), "--out", str(fit_out)]) == 0
         fit = json.loads(fit_out.read_text())
@@ -354,3 +354,76 @@ class TestEarlyBumpEnd:
         assert partition["bump_end_rejected"] == pytest.approx(math.sqrt(3.0))
         assert partition["t_bump_end"] == cfg.t_bump_end
         assert partition["n_lags_with_bump"] == 1
+
+
+class TestStoredPdfs:
+    """Per-lag densities and collapse clouds are .npy arrays that ``fit``
+    and ``collapse`` read back; text pdfs are refused with the conversion."""
+
+    CONVERSION = 'np.save(path.with_suffix(".npy"), np.loadtxt(path, delimiter=",", skiprows=1))'
+
+    @staticmethod
+    def _collapse(pdfs, out) -> int:
+        return main(["collapse", "--pdfs", str(pdfs), "--alpha", "1.79",
+                     "--d-coef", "0.1118", "--out", str(out)])
+
+    def test_pipeline_writes_npy_grids_and_clouds(self, small_run):
+        manifest = json.loads((small_run / "manifest.json").read_text())
+        pdf_paths = [a["path"] for a in manifest["artifacts"] if a["stage"] == "pdfs"]
+        assert pdf_paths and all(p.endswith(".npy") for p in pdf_paths)
+        lags = set()
+        for rel in pdf_paths:
+            grid = np.load(small_run / rel, allow_pickle=False)
+            assert grid.dtype == np.float64 and grid.ndim == 2 and grid.shape[1] == 2
+            lags.add(json.loads((small_run / rel).with_suffix(".json").read_text())["lag"])
+        assert "collapsed_weak.npy" in {a["path"] for a in manifest["artifacts"]}
+        cloud = np.load(small_run / "collapsed_weak.npy", allow_pickle=False)
+        assert cloud.dtype == np.float64 and cloud.ndim == 2 and cloud.shape[1] == 3
+        assert set(np.unique(cloud[:, 2]).tolist()) == lags
+        assert not list(small_run.glob("collapsed_*.csv")) and not list(small_run.glob("pdfs/*.csv"))
+
+    def test_fit_and_collapse_read_the_pipeline_pdfs(self, small_run, tmp_path, capsys):
+        fit_out = tmp_path / "fit.json"
+        assert main(["fit", "--pdf", str(small_run / "pdfs" / "pdf_000010.npy"),
+                     "--out", str(fit_out)]) == 0
+        fit = json.loads(fit_out.read_text())
+        assert fit["lag"] == 10.0 and 1.0 < fit["q"] < 3.0
+        assert self._collapse(small_run / "pdfs", tmp_path / "col") == 0
+        cloud = np.load(tmp_path / "col" / "collapsed.npy", allow_pickle=False)
+        assert cloud.ndim == 2 and cloud.shape[1] == 3
+        assert 1.0 < json.loads((tmp_path / "col" / "collapse.json").read_text())["q"] < 3.0
+
+    def test_text_pdfs_exit_1_with_the_conversion(self, small_run, tmp_path, capsys):
+        pdfs = tmp_path / "pdfs"
+        shutil.copytree(small_run / "pdfs", pdfs)
+        for path in pdfs.glob("pdf_*.npy"):
+            np.savetxt(path.with_suffix(".csv"), np.load(path), fmt="%.17g", delimiter=",",
+                       header="x,density", comments="")
+            path.unlink()
+        capsys.readouterr()
+        assert self._collapse(pdfs, tmp_path / "col") == 1
+        err = capsys.readouterr().err
+        assert "no longer read" in err and self.CONVERSION in err
+        assert main(["fit", "--pdf", str(pdfs / "pdf_000010.csv")]) == 1
+        err = capsys.readouterr().err
+        assert "pdf_000010.csv" in err and self.CONVERSION in err
+        # the conversion the message gives restores the collapse, byte for byte
+        for path in pdfs.glob("pdf_*.csv"):
+            np.save(path.with_suffix(".npy"), np.loadtxt(path, delimiter=",", skiprows=1))
+        assert self._collapse(pdfs, tmp_path / "converted") == 0
+        assert self._collapse(small_run / "pdfs", tmp_path / "original") == 0
+        for name in ("collapse.json", "collapsed.npy"):
+            assert ((tmp_path / "converted" / name).read_bytes()
+                    == (tmp_path / "original" / name).read_bytes())
+
+    @pytest.mark.parametrize("command", ["fit", "collapse"])
+    def test_bad_pdf_file_exits_1_naming_it(self, small_run, tmp_path, capsys, command):
+        pdfs = tmp_path / "pdfs"
+        shutil.copytree(small_run / "pdfs", pdfs)
+        bad = pdfs / "pdf_000010.npy"
+        np.save(bad, np.load(bad)[:, 1])  # the density column alone
+        if command == "fit":
+            assert main(["fit", "--pdf", str(bad)]) == 1
+        else:
+            assert self._collapse(pdfs, tmp_path / "col") == 1
+        assert f"{bad}: expected a float64 array of shape (n >= 2, 2)" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import re
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -91,6 +92,55 @@ class TestLoadSeries:
         for i, (text, where) in enumerate(cases):
             with pytest.raises(SchemaError, match=rf"duplicated timestamp at {re.escape(where)}$"):
                 load_series(write(tmp_path, text, name=f"dup{i}.csv"))
+
+
+    def test_lines_after_a_multi_line_cell_are_file_lines(self, tmp_path):
+        # the quoted cell spans lines 1-2, so "bad" sits on file line 3
+        with pytest.raises(SchemaError, match=r"line 3: cannot parse timestamp 'bad'"):
+            load_series(write(tmp_path, '0,100,"a\n1,101,b"\nbad,102\n3,103\n'))
+
+    def test_duplicate_after_a_multi_line_cell_names_its_file_line(self, tmp_path):
+        path = write(tmp_path, '0,100,"a\n1,101,b"\n3,103\n3,104\n')
+        with pytest.raises(SchemaError, match=r"duplicated timestamp at line\(s\) 4$"):
+            load_series(path)
+
+    def test_multi_line_header_is_the_first_record(self, tmp_path):
+        path = write(tmp_path, '"min\nute",level\n0,1\nbad,2\n3,4\n')
+        with pytest.raises(SchemaError, match=r"unparseable rows: line 4: "):
+            load_series(path)
+        s = load_series(write(tmp_path, '"min\nute",level\n0,1\n1,2\n', name="ok.csv"))
+        assert np.array_equal(s.values, [1.0, 2.0])
+
+
+class TestIsoTimestamps:
+    ROWS = ["2020-01-02T09:30:00", "2020-01-02T09:31:00", "2020-01-02T09:33:00"]
+
+    def load(self, tmp_path, stamps, name):
+        text = "".join(f"{t},{100 + i}\n" for i, t in enumerate(stamps))
+        s = load_series(write(tmp_path, text, name=name))
+        return s.timestamps.view(np.uint64).tolist(), s.values.tolist(), s.gaps
+
+    def test_naive_stamps_do_not_depend_on_the_time_zone(self, tmp_path, monkeypatch):
+        got = []
+        try:
+            for zone in ("UTC", "America/New_York", "Asia/Tokyo"):
+                monkeypatch.setenv("TZ", zone)
+                time.tzset()
+                got.append(self.load(tmp_path, self.ROWS, f"{zone.replace('/', '_')}.csv"))
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert got[0] == got[1] == got[2]
+        # naive stamps are UTC: 2020-01-02T09:30:00Z is 26299290 epoch minutes
+        assert np.array(got[0][0], dtype=np.uint64).view(float)[0] == 26299290.0
+
+    def test_z_offset_and_naive_forms_agree(self, tmp_path):
+        naive = self.load(tmp_path, self.ROWS, "naive.csv")
+        zulu = self.load(tmp_path, [t + "Z" for t in self.ROWS], "zulu.csv")
+        offset = self.load(tmp_path, [t + "+00:00" for t in self.ROWS], "offset.csv")
+        assert naive == zulu == offset
+        shifted = self.load(tmp_path, [t + "+01:00" for t in self.ROWS], "cet.csv")
+        assert shifted[0] != naive[0]
 
 
 # Each case is written with "," and read with every delimiter below, so a

@@ -1,11 +1,12 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qdiff.io import CHUNK_ROWS, write_json, write_table
+from qdiff.io import CHUNK_ROWS, read_array, write_array, write_json, write_table
 
 
 def reference_table(path, header, rows):
@@ -78,3 +79,26 @@ class TestWriteJson:
         write_json(path, obj)
         assert path.read_bytes() == json.dumps(obj, indent=2, sort_keys=True).encode()
         assert json.loads(path.read_text()) == obj
+
+
+class TestArrays:
+    def test_round_trip_is_bit_for_bit_at_exactly_the_path(self, tmp_path):
+        table = np.array(SPECIAL[:14]).reshape(7, 2)
+        path = tmp_path / "table.csv"
+        write_array(path, table)
+        assert [p.name for p in tmp_path.iterdir()] == ["table.csv"]
+        back = read_array(path)
+        assert back.dtype == np.float64 and back.shape == (7, 2)
+        assert np.array_equal(back.view(np.uint64), table.view(np.uint64))
+
+    def test_memory_order_does_not_change_the_bytes(self, tmp_path):
+        table = np.arange(12.0).reshape(4, 3)
+        write_array(tmp_path / "c.npy", table)
+        write_array(tmp_path / "f.npy", np.asfortranarray(table))
+        assert (tmp_path / "c.npy").read_bytes() == (tmp_path / "f.npy").read_bytes()
+
+    def test_pickles_are_refused(self, tmp_path):
+        path = tmp_path / "objects.npy"
+        np.save(path, np.array([{"a": 1}, None], dtype=object), allow_pickle=True)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not a readable .npy"):
+            read_array(path)
