@@ -3,7 +3,7 @@
 Subcommands: pipeline, synth, verify-pme, fit, collapse, d2-grid. Per-lag
 samples, density grids and collapse clouds are numpy .npy arrays, the
 smaller tables are CSV with numbers written to 17 significant digits, and
-metadata is JSON, so reruns with the same configuration and seed are
+metadata is JSON, so reruns with the same configuration are
 byte-identical. Exit codes: 0 success, 1 validation error, 2 computation
 error.
 """
@@ -53,8 +53,8 @@ class RunConfig:
     input: str = ""                   # index series CSV (one of input/ensembles)
     ensembles: str = ""               # directory of per-lag sample files
     out: str = "qdiff-out"
-    seed: int = 1
-    # lag ladder (minutes of active market time)
+    # lag ladder (minutes of active market time); also the outer ends of
+    # the strong and weak height-law fit ranges
     min_lag: float = 1.0
     max_lag: float = 3000.0
     points_per_decade: int = 4
@@ -63,26 +63,13 @@ class RunConfig:
     origin_policy: str = "overlapping"
     delimiter: str = ","
     # density estimation
-    bandwidth: float = 0.0            # 0 = adaptive: bandwidth_scale * q25(|x|)
-    bandwidth_scale: float = 0.05
+    bandwidth: float = 0.0            # 0 = adaptive: BANDWIDTH_SCALE * lag scale
     grid_points: int = dns.DEFAULT_GRID_POINTS
-    core_span_quantiles: float = 250.0  # core grid half-width in units of q25
     # zone geometry (crossover readings differ between 35 and 38 in the
-    # source analysis; the figure value is the default)
+    # source analysis; the figure value is the default); the height laws
+    # are fitted over [min_lag, t_cross_start] and [t_bump_end, max_lag]
     t_cross_start: float = reg.DEFAULT_T_CROSS_START
     t_bump_end: float = reg.DEFAULT_T_BUMP_END
-    boundary_a: float = 0.0339
-    boundary_nu: float = 0.62
-    boundary_t0: float = 1.0
-    # height-law fit ranges (minutes)
-    strong_fit_min: float = 1.0
-    strong_fit_max: float = 35.0
-    weak_fit_min: float = 78.0
-    weak_fit_max: float = 3000.0
-    # moments
-    moment_window_quantiles: float = 4000.0  # window in units of q25
-    # fitting
-    fit_floor_counts: float = 50.0    # kernel-count reliability floor
 
     def validate(self) -> None:
         if self.input and self.ensembles:
@@ -96,45 +83,57 @@ class RunConfig:
             raise ValidationError(f"need 0 < min_lag < max_lag, got ({self.min_lag}, {self.max_lag})")
         if self.points_per_decade < 1:
             raise ValidationError("points_per_decade must be >= 1")
-        if self.bandwidth < 0 or self.bandwidth_scale <= 0:
-            raise ValidationError("bandwidth must be >= 0 and bandwidth_scale > 0")
+        if self.bandwidth < 0:
+            raise ValidationError("bandwidth must be >= 0")
         if not (self.t_cross_start < self.t_bump_end):
             raise ValidationError("t_cross_start must precede t_bump_end")
         if self.origin_policy not in ("overlapping", "non-overlapping"):
             raise ValidationError(f"unknown origin policy {self.origin_policy!r}")
+        if len(self.delimiter) != 1 or self.delimiter in '"\r\n':
+            raise ValidationError(f"delimiter must be one character other than a quote "
+                                  f"or a line break, got {self.delimiter!r}")
+
+
+# Tuning factors; the first three are in units of a lag's scale (``_lag_scale``).
+BANDWIDTH_SCALE = 0.05         # adaptive kernel bandwidth
+CORE_SPAN_SCALES = 250.0       # half-width of the core density grid
+MOMENT_WINDOW_SCALES = 4000.0  # half-width of the second-moment window
+FIT_FLOOR_COUNTS = 50.0        # kernel counts below which a grid point is not fitted
+
+
+def _parse_setting(text: str, where: str) -> tuple[str, object]:
+    """One ``key = value`` setting, as a config-file line or ``--set`` holds it.
+
+    ``-`` in the key reads as ``_``. Only spaces around the value are
+    trimmed, so a tab or ``;`` is a value like any other (``delimiter=;``).
+    ``where`` prefixes every error, which is a ValidationError.
+    """
+    key, sep, val = text.partition("=")
+    if not sep:
+        raise ValidationError(f"{where}expected 'key = value', got {text!r}")
+    key = key.strip().replace("-", "_")
+    if key not in {f.name for f in fields(RunConfig)}:
+        raise ValidationError(f"{where}unknown setting {key!r}")
+    val = val.strip(" ")
+    kind = type(getattr(RunConfig, key))
+    try:
+        return key, kind(val)
+    except ValueError as exc:
+        raise ValidationError(f"{where}{key}: expected {kind.__name__}, got {val!r}") from exc
 
 
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Flat key = value file (hash comments allowed) plus overrides."""
+    """Flat key = value file (``#`` starts a comment) plus overrides."""
     values: dict = {}
     if path:
-        text = Path(path).read_text()
-        known = {f.name: f.type for f in fields(RunConfig)}
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].split(";", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValidationError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in known:
-                raise ValidationError(f"{path}:{line_no}: unknown setting {key!r}")
-            values[key] = _coerce(key, val.strip())
+        for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+            line = raw.split("#", 1)[0]
+            if line.strip():
+                key, val = _parse_setting(line, f"{path}:{line_no}: ")
+                values[key] = val
     if overrides:
         values.update(overrides)
     return RunConfig(**values)
-
-
-def _coerce(key: str, val: str):
-    default = getattr(RunConfig, key)
-    if isinstance(default, bool):
-        return val.lower() in ("1", "true", "yes")
-    if isinstance(default, int):
-        return int(val)
-    if isinstance(default, float):
-        return float(val)
-    return val
 
 
 def _sha256(path: Path) -> str:
@@ -179,20 +178,19 @@ def _read_samples(path: Path) -> ing.ReturnEnsemble:
 
 # --- pipeline stages -----------------------------------------------------
 
-def _adaptive_bandwidth(cfg: RunConfig, x: np.ndarray, q25: float) -> float:
-    """Kernel bandwidth; ``q25`` is the 25% quantile of |x|."""
-    if cfg.bandwidth > 0.0:
-        return cfg.bandwidth
-    if q25 <= 0.0:
-        q25 = float(np.std(x)) or 1.0
-    return cfg.bandwidth_scale * q25
+def _lag_scale(x: np.ndarray) -> float:
+    """A lag's one length scale: the 25% quantile of |x|, else the
+    standard deviation, else 1.0. The adaptive bandwidth, the core grid
+    span and the moment window are multiples of it."""
+    return float(np.quantile(np.abs(x), 0.25)) or float(np.std(x)) or 1.0
 
 
 def cmd_pipeline(cfg: RunConfig) -> Path:
     """Run all stages in order and write a manifest; returns the out dir.
 
-    Stage artifacts: ensembles, pdfs, height and moment series, regime
-    partition, per-lag fits, collapse results, governing-equation
+    Stage artifacts: an input series' gap report and per-lag returns (a
+    sample directory is read in place), pdfs, height and moment series,
+    regime partition, per-lag fits, collapse results, governing-equation
     parameters, and a diffusion-coefficient grid. A failing stage leaves
     the completed artifacts in place plus a FAILED marker naming it.
     """
@@ -243,17 +241,8 @@ def cmd_pipeline(cfg: RunConfig) -> Path:
 
 
 def _stage_ensembles(cfg, out, state, record):
-    lags = ing.lag_ladder(cfg.min_lag, cfg.max_lag, cfg.points_per_decade)
-    ens_dir = out / "ensembles"
-    ens_dir.mkdir(exist_ok=True)
-    if cfg.input:
-        series = ing.load_series(cfg.input, delimiter=cfg.delimiter)
-        ing.write_gap_report(series, out / "gap_report.json")
-        record("ensembles", out / "gap_report.json")
-        detrended = ing.detrend(series, cfg.detrend_window)
-        ensembles = [ing.returns_at_lag(detrended, float(lag), cfg.origin_policy)
-                     for lag in lags if lag <= detrended.span]
-    else:
+    if cfg.ensembles:
+        # read in place: the manifest's inputs hold each file's sha256
         src = Path(cfg.ensembles)
         paths = sorted(src.glob("lag_*.npy"))
         if not paths:
@@ -262,9 +251,19 @@ def _stage_ensembles(cfg, out, state, record):
                 hint = ("; text sample files (lag_*.csv) are no longer read, convert each "
                         "with np.save(path.with_suffix('.npy'), np.loadtxt(path, skiprows=1))")
             raise ValidationError(f"no lag_*.npy sample files under {src}{hint}")
-        ensembles = [_read_samples(p) for p in paths]
+        state["ensembles"] = [_read_samples(p) for p in paths]
         state["inputs"].update((str(p), _sha256(p)) for p in paths)
-    # every input is read and checked before the first copy is written
+        return
+    series = ing.load_series(cfg.input, delimiter=cfg.delimiter)
+    ing.write_gap_report(series, out / "gap_report.json")
+    record("ensembles", out / "gap_report.json")
+    detrended = ing.detrend(series, cfg.detrend_window)
+    lags = ing.lag_ladder(cfg.min_lag, cfg.max_lag, cfg.points_per_decade)
+    ensembles = [ing.returns_at_lag(detrended, float(lag), cfg.origin_policy)
+                 for lag in lags if lag <= detrended.span]
+    # the computed returns are derived data, so they are written out
+    ens_dir = out / "ensembles"
+    ens_dir.mkdir(exist_ok=True)
     for ens in ensembles:
         path = _samples_path(ens_dir, ens.lag)
         _write_samples(path, ens.lag, ens.returns, {"origin_policy": ens.origin_policy})
@@ -275,13 +274,12 @@ def _stage_ensembles(cfg, out, state, record):
 def _stage_pdfs(cfg, out, state, record):
     pdf_dir = out / "pdfs"
     pdf_dir.mkdir(exist_ok=True)
-    core_pdfs, wide_pdfs, q25s = [], [], []
+    core_pdfs, wide_pdfs, scales = [], [], []
     for ens in state["ensembles"]:
-        x = ens.returns
-        q25 = float(np.quantile(np.abs(x), 0.25))
-        q25s.append(q25)
-        h = _adaptive_bandwidth(cfg, x, q25)
-        span = cfg.core_span_quantiles * (q25 or float(np.std(x)) or 1.0)
+        scale = _lag_scale(ens.returns)
+        scales.append(scale)
+        h = cfg.bandwidth or BANDWIDTH_SCALE * scale
+        span = CORE_SPAN_SCALES * scale
         core = dns.kde(ens, bandwidth=h, grid=(-span, span, cfg.grid_points))
         wide = dns.kde(ens, bandwidth=h, grid=cfg.grid_points)
         core_pdfs.append(core)
@@ -291,7 +289,7 @@ def _stage_pdfs(cfg, out, state, record):
         record("pdfs", path)
     state["core_pdfs"] = core_pdfs
     state["wide_pdfs"] = wide_pdfs
-    state["q25"] = q25s
+    state["scales"] = scales
 
 
 def _stage_series(cfg, out, state, record):
@@ -305,8 +303,8 @@ def _stage_series(cfg, out, state, record):
     state["heights"] = heights
 
     lags, moments, windows = [], [], []
-    for p, q25 in zip(state["wide_pdfs"], state["q25"]):
-        window = min(cfg.moment_window_quantiles * (q25 or 1.0),
+    for p, scale in zip(state["wide_pdfs"], state["scales"]):
+        window = min(MOMENT_WINDOW_SCALES * scale,
                      0.999 * min(-p.grid[0], p.grid[-1]))
         lags.append(p.lag)
         moments.append(dns.second_moment(p, window))
@@ -316,7 +314,6 @@ def _stage_series(cfg, out, state, record):
     mpath = out / "moments.csv"
     dns.write_moment_csv(series, mpath)
     record("series", mpath)
-    state["moments"] = series
 
 
 def _stage_regimes(cfg, out, state, record):
@@ -330,12 +327,10 @@ def _stage_regimes(cfg, out, state, record):
     detected = [(t, b) for t, b in rows if b is not None]
     boundary_fit = None
     if len({t for t, _ in detected}) >= 3:
-        boundary_fit = reg.fit_boundary_curve(
-            [(t, b[0], b[1]) for t, b in detected], t0=cfg.boundary_t0
-        )
+        boundary_fit = reg.fit_boundary_curve([(t, b[0], b[1]) for t, b in detected])
         a, nu = boundary_fit.a, boundary_fit.nu
     else:
-        a, nu = cfg.boundary_a, cfg.boundary_nu
+        a, nu = reg.DEFAULT_BOUNDARY_A, reg.DEFAULT_BOUNDARY_NU
     t_bump_end = reg.detect_bump_end([t for t, _ in rows], [b for _, b in rows])
     # a bump that dissolves before the crossover starts cannot end zone B;
     # keep the configured end and record the rejected detection
@@ -343,7 +338,7 @@ def _stage_regimes(cfg, out, state, record):
     if t_bump_end is not None and t_bump_end <= cfg.t_cross_start:
         rejected, t_bump_end = t_bump_end, None
     partition = reg.RegimePartition(
-        a=a, nu=min(max(nu, 1e-3), 1.0 - 1e-3), t0=cfg.boundary_t0,
+        a=a, nu=min(max(nu, 1e-3), 1.0 - 1e-3),
         t_cross_start=cfg.t_cross_start,
         t_bump_end=t_bump_end if t_bump_end is not None else cfg.t_bump_end,
     )
@@ -361,8 +356,8 @@ def _stage_regimes(cfg, out, state, record):
     heights = np.array([(t, h) for t, _, h in state["heights"]])
     height_fits = {}
     for name, lo, hi in (
-        ("strong", cfg.strong_fit_min, cfg.strong_fit_max),
-        ("weak", cfg.weak_fit_min, cfg.weak_fit_max),
+        ("strong", cfg.min_lag, cfg.t_cross_start),
+        ("weak", cfg.t_bump_end, cfg.max_lag),
     ):
         try:
             fit = reg.fit_height_law(heights, (lo, hi))
@@ -385,7 +380,7 @@ def _stage_lag_fits(cfg, out, state, record):
     for p, ens in zip(state["core_pdfs"], state["ensembles"]):
         floor = max(
             clp.DENSITY_FLOOR,
-            cfg.fit_floor_counts
+            FIT_FLOOR_COUNTS
             / (len(ens.returns) * p.bandwidth * math.sqrt(2.0 * math.pi))
             / float(np.max(p.density)),
         )
@@ -717,15 +712,7 @@ def _build_parser() -> _Parser:
 
 def _run(args) -> int:
     if args.command == "pipeline":
-        overrides: dict = {}
-        for item in args.set:
-            if "=" not in item:
-                raise ValidationError(f"--set expects KEY=VALUE, got {item!r}")
-            key, _, val = item.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in {f.name for f in fields(RunConfig)}:
-                raise ValidationError(f"unknown setting {key!r}")
-            overrides[key] = _coerce(key, val.strip())
+        overrides = dict(_parse_setting(item, "--set: ") for item in args.set)
         if args.input:
             overrides["input"] = args.input
         if args.ensembles:

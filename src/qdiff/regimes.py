@@ -41,6 +41,10 @@ __all__ = [
 # is the default and the other is accepted through configuration.
 DEFAULT_T_CROSS_START = 35.0
 DEFAULT_T_BUMP_END = 78.0
+# Paper-calibrated boundary curve |x| = a t^nu (t in minutes), used when
+# too few lags show a bump to fit one.
+DEFAULT_BOUNDARY_A = 0.0339
+DEFAULT_BOUNDARY_NU = 0.62
 
 
 @dataclass(frozen=True)

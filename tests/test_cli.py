@@ -35,6 +35,21 @@ def small_run(small_ensembles, tmp_path_factory):
     return cmd_pipeline(RunConfig(ensembles=str(small_ensembles), out=str(out), max_lag=100.0))
 
 
+RETIRED_KEYS = [
+    "seed", "bandwidth_scale", "core_span_quantiles", "moment_window_quantiles",
+    "fit_floor_counts", "boundary_a", "boundary_nu", "boundary_t0",
+    "strong_fit_min", "strong_fit_max", "weak_fit_min", "weak_fit_max",
+]
+
+
+def _write_series(path, delimiter=","):
+    """A 40,000-minute random-walk index series, minute and level per row."""
+    rng = np.random.default_rng(12)
+    values = 500.0 + np.cumsum(rng.normal(0, 0.05, 40_000))
+    path.write_text("\n".join(f"{i}{delimiter}{v:.6f}" for i, v in enumerate(values)) + "\n")
+    return path
+
+
 class TestSynth:
     def test_files_and_metadata(self, tmp_path):
         lags = [1.0, 10.0]
@@ -69,8 +84,9 @@ class TestPipeline:
         out = cmd_pipeline(cfg)
         manifest = json.loads((out / "manifest.json").read_text())
         stages = {a["stage"] for a in manifest["artifacts"]}
+        # sample files are read in place, so the ensembles stage writes nothing
         assert stages == {
-            "ensembles", "pdfs", "series", "regimes", "lag_fits",
+            "pdfs", "series", "regimes", "lag_fits",
             "collapse", "governing", "d2_grid",
         }
         assert manifest["failed_stage"] is None
@@ -95,8 +111,7 @@ class TestPipeline:
         paths = sorted(small_ensembles.glob("lag_*.npy"))
         assert paths and sorted(inputs) == [str(p) for p in paths]
         for p in paths:
-            copy = small_run / "ensembles" / p.name
-            assert inputs[str(p)] == hashlib.sha256(copy.read_bytes()).hexdigest()
+            assert inputs[str(p)] == hashlib.sha256(p.read_bytes()).hexdigest()
 
     def test_run_report_times_every_stage(self, small_run):
         stage_s = json.loads((small_run / "run_report.json").read_text())["stage_s"]
@@ -186,6 +201,56 @@ class TestConfig:
         with pytest.raises(ValidationError):
             RunConfig(input="a", ensembles="b").validate()
 
+    @pytest.mark.parametrize("key", RETIRED_KEYS)
+    def test_retired_key_is_unknown(self, key, tmp_path, capsys):
+        cfg_path = tmp_path / "old.cfg"
+        cfg_path.write_text(f"{key} = 1\n")
+        with pytest.raises(ValidationError, match=f"unknown setting '{key}'"):
+            load_config(cfg_path)
+        assert main(["pipeline", "--ensembles", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--set", f"{key}=1"]) == 1
+        assert f"unknown setting '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("delimiter, in_file, extra", [
+        pytest.param(";", "delimiter = ;  # semicolon-separated export\n", [], id="semicolon_file"),
+        pytest.param("\t", "", ["--set", "delimiter=\t"], id="tab_set"),
+    ])
+    def test_delimiter_from_config_file_or_set(self, delimiter, in_file, extra, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(in_file + "max_lag = 100\npoints_per_decade = 2\ndetrend_window = 2000\n")
+        src = _write_series(tmp_path / "series.csv", delimiter)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--input", str(src),
+                     "--out", str(out), *extra]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["delimiter"] == delimiter
+        assert manifest["failed_stage"] is None
+
+    @pytest.mark.parametrize("delimiter", ["", ";;", '"', "\n"])
+    def test_bad_delimiter_exits_1_before_any_stage(self, delimiter, tmp_path, capsys):
+        src = tmp_path / "series.csv"
+        src.write_text("0,100\n1,101\n")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--input", str(src), "--out", str(out),
+                     "--set", f"delimiter={delimiter}"]) == 1
+        assert "delimiter" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unparseable_value_exits_1(self, tmp_path, capsys):
+        assert main(["pipeline", "--ensembles", str(tmp_path), "--out", str(tmp_path / "o"),
+                     "--set", "points_per_decade=four"]) == 1
+        assert "points_per_decade: expected int, got 'four'" in capsys.readouterr().err
+
+    def test_height_fit_ranges_follow_the_zone_times(self, small_ensembles, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text("t_cross_start = 38  # alternate crossover reading\n")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--ensembles", str(small_ensembles),
+                     "--out", str(out), "--set", "max_lag=100"]) == 0
+        fits = json.loads((out / "height_fits.json").read_text())
+        assert fits["strong"]["range"] == [1.0, 38.0]
+        assert fits["weak"]["range"] == [78.0, 100.0]
+
 
 class TestMainEntry:
     def test_exit_codes(self, tmp_path, capsys):
@@ -272,7 +337,7 @@ BAD_SAMPLE_FILES = [
 
 class TestSampleFilesInWorkers:
     """Per-lag sample files are numpy .npy arrays holding the drawn doubles
-    to the bit; the pipeline copies them and refuses a bad file as a
+    to the bit; the pipeline reads them in place and refuses a bad file as a
     validation error."""
 
     LAGS = [1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0]
@@ -290,11 +355,8 @@ class TestSampleFilesInWorkers:
     def test_pipeline_copies_equal_synth_inputs(self, small_ensembles, tmp_path):
         out = cmd_pipeline(RunConfig(ensembles=str(small_ensembles),
                                      out=str(tmp_path / "run"), max_lag=100.0))
-        copies = sorted((out / "ensembles").glob("lag_*.npy"))
-        inputs = sorted(small_ensembles.glob("lag_*.npy"))
-        assert inputs and [p.name for p in copies] == [p.name for p in inputs]
-        for copy, src in zip(copies, inputs):
-            assert copy.read_bytes() == src.read_bytes()
+        # the inputs are read in place and never copied
+        assert not (out / "ensembles").exists()
         # the bump-end fallback key is written only when the fallback fires
         assert "bump_end_rejected" not in json.loads((out / "partition.json").read_text())
 
