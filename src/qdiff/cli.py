@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 import time
@@ -27,7 +26,7 @@ from qdiff import density as dns
 from qdiff import ingest as ing
 from qdiff import pme
 from qdiff import regimes as reg
-from qdiff.io import read_array, write_array, write_json, write_table
+from qdiff.io import json_text, read_array, read_sidecar, write_array, write_json, write_table
 from qdiff.qgauss import ScalingLaw, selfsim_sample
 
 __all__ = ["RunConfig", "cmd_pipeline", "cmd_synth", "cmd_verify_pme", "main"]
@@ -144,11 +143,6 @@ def _samples_path(directory: Path, lag: float) -> Path:
     return directory / f"lag_{int(round(lag)):06d}.npy"
 
 
-def _write_samples(path: Path, lag: float, samples: np.ndarray, meta: dict) -> None:
-    write_array(path, samples)
-    write_json(path.with_suffix(".json"), {"lag": lag, "n": int(samples.size), **meta})
-
-
 def _read_samples(path: Path) -> ing.ReturnEnsemble:
     """Load one per-lag sample file and the lag from its JSON sidecar.
 
@@ -158,18 +152,14 @@ def _read_samples(path: Path) -> ing.ReturnEnsemble:
     """
     try:
         samples = read_array(path)
+        if samples.ndim != 1 or samples.dtype != np.float64:
+            raise ValueError(f"{path}: expected a 1-D float64 array, "
+                             f"got {samples.dtype!r} of shape {samples.shape}")
+        if not np.isfinite(samples).all():
+            raise ValueError(f"{path}: holds non-finite samples")
+        lag = float(read_sidecar(path)["lag"])
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
-    if samples.ndim != 1 or samples.dtype != np.float64:
-        raise ValidationError(f"{path}: expected a 1-D float64 array, "
-                              f"got {samples.dtype!r} of shape {samples.shape}")
-    if not np.isfinite(samples).all():
-        raise ValidationError(f"{path}: holds non-finite samples")
-    sidecar = path.with_suffix(".json")
-    try:
-        lag = float(json.loads(sidecar.read_text())["lag"])
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise ValidationError(f"{path}: no lag from sidecar {sidecar.name} ({exc!r})") from exc
     try:
         return ing.ReturnEnsemble(lag=lag, returns=samples)
     except ValueError as exc:
@@ -207,8 +197,8 @@ def cmd_pipeline(cfg: RunConfig) -> Path:
             {"stage": stage, "path": str(path.relative_to(out)), "sha256": _sha256(path)}
         )
 
-    # stages hash every input file they read into the manifest
-    state: dict = {"inputs": manifest["inputs"]}
+    # stages hash each input they read; "report" gets what no artifact holds
+    state: dict = {"inputs": manifest["inputs"], "report": {}}
     stages = [
         ("ensembles", _stage_ensembles),
         ("pdfs", _stage_pdfs),
@@ -234,7 +224,7 @@ def cmd_pipeline(cfg: RunConfig) -> Path:
             break
     write_json(out / "manifest.json", manifest)
     # seconds per stage run; they vary between runs, so not an artifact
-    write_json(out / "run_report.json", {"stage_s": stage_s})
+    write_json(out / "run_report.json", {"stage_s": stage_s, **state["report"]})
     if failure is not None:
         raise failure from failure.cause
     return out
@@ -266,7 +256,8 @@ def _stage_ensembles(cfg, out, state, record):
     ens_dir.mkdir(exist_ok=True)
     for ens in ensembles:
         path = _samples_path(ens_dir, ens.lag)
-        _write_samples(path, ens.lag, ens.returns, {"origin_policy": ens.origin_policy})
+        write_array(path, ens.returns, {"lag": ens.lag, "n": ens.returns.size,
+                                        "origin_policy": ens.origin_policy})
         record("ensembles", path)
     state["ensembles"] = ensembles
 
@@ -352,6 +343,12 @@ def _stage_regimes(cfg, out, state, record):
     record("regimes", ppath)
     state["partition"] = partition
     state["has_bumps"] = len(detected) >= 3
+    # the partition keeps nu inside (0, 1); the report keeps what was fitted
+    state["report"]["regimes"] = {
+        "n_lags_with_bump": len(detected),
+        "nu_fitted": boundary_fit.nu if boundary_fit is not None else None,
+        "nu_clamped": partition.nu,
+    }
 
     heights = np.array([(t, h) for t, _, h in state["heights"]])
     height_fits = {}
@@ -393,43 +390,44 @@ def _stage_lag_fits(cfg, out, state, record):
 
 def _stage_collapse(cfg, out, state, record):
     fits = state["lag_fits"]
+    pdfs = state["core_pdfs"]
     partition: reg.RegimePartition = state["partition"]
-    scaling = clp.fit_beta_law(fits)
     masses = {f.lag: f.grid_mass for f in fits}
+    regimes = state["report"]["regimes"]
 
-    def weak_mask(t, xs):
-        return state["partition"].classify(xs, t) == "C"
-
-    results = {}
-    pts_weak = clp.collapse_pdfs(
-        state["core_pdfs"], scaling,
-        restriction=weak_mask if state["has_bumps"] else None,
-        grid_masses=masses,
-    )
-    results["weak"] = clp.fit_collapsed(pts_weak, scaling, zone="C")
+    # the bump's narrow component widens every lag it is part of, so with a
+    # bump the weak law and master curve come from the lags past its end
+    t_weak = partition.t_bump_end if state["has_bumps"] else -math.inf
+    weak_fits = [f for f in fits if f.lag >= t_weak]
+    if state["has_bumps"] and len(weak_fits) < 3:
+        raise clp.FitError(f"the weak regime needs >= 3 lags at or past t_bump_end "
+                           f"{t_weak:g}, got {len(weak_fits)}")
+    scaling = clp.fit_beta_law(weak_fits)
+    pts_weak = clp.collapse_pdfs([p for p in pdfs if p.lag >= t_weak], scaling,
+                                 grid_masses=masses)
+    results = {"weak": clp.fit_collapsed(pts_weak, scaling, zone="C")}
     clp.write_collapsed_csv(pts_weak, out / "collapsed_weak.npy")
     record("collapse", out / "collapsed_weak.npy")
 
-    if state["has_bumps"]:
-        strong_pdfs = [
-            p for p in state["core_pdfs"] if p.lag < partition.t_cross_start
-        ]
-        strong_fits = [f for f in fits if f.lag < partition.t_cross_start]
-        if len(strong_fits) >= 3:
-            strong_scaling = clp.fit_beta_law(strong_fits)
-
-            def bump_mask(t, xs):
-                return np.abs(xs) < partition.boundary(t)
-
-            pts_strong = clp.collapse_pdfs(
-                strong_pdfs, strong_scaling, restriction=bump_mask, grid_masses=masses
-            )
-            try:
-                results["strong"] = clp.fit_collapsed(pts_strong, strong_scaling, zone="A")
-                clp.write_collapsed_csv(pts_strong, out / "collapsed_strong.npy")
-                record("collapse", out / "collapsed_strong.npy")
-            except clp.FitError:
-                pass
+    strong_fits = [f for f in fits if f.lag < partition.t_cross_start]
+    if not state["has_bumps"]:
+        regimes["strong"] = f"fewer than 3 lags with a bump ({regimes['n_lags_with_bump']})"
+    elif len(strong_fits) < 3:
+        regimes["strong"] = (f"fewer than 3 lags below t_cross_start "
+                             f"{partition.t_cross_start:g} ({len(strong_fits)})")
+    else:
+        strong_scaling = clp.fit_beta_law(strong_fits)
+        pts_strong = clp.collapse_pdfs(
+            [p for p in pdfs if p.lag < partition.t_cross_start], strong_scaling,
+            restriction=lambda t, xs: np.abs(xs) < partition.boundary(t), grid_masses=masses,
+        )
+        try:
+            results["strong"] = clp.fit_collapsed(pts_strong, strong_scaling, zone="A")
+            clp.write_collapsed_csv(pts_strong, out / "collapsed_strong.npy")
+            record("collapse", out / "collapsed_strong.npy")
+            regimes["strong"] = "fitted"
+        except clp.FitError as exc:
+            regimes["strong"] = str(exc)
 
     payload = {name: clp.collapse_payload(res) for name, res in results.items()}
     cpath = out / "collapse.json"
@@ -467,10 +465,15 @@ def _stage_d2_grid(cfg, out, state, record):
         lags = [p.lag for p in state["core_pdfs"]]
         t_ref = float(np.median(lags))
         width = (gp.d_coef * t_ref) ** (1.0 / gp.alpha)
-        xs = np.geomspace(0.01 * width, 100.0 * width, 101)
-        rows = [(t_ref, x, float(pme.black_scholes_d2(x, t_ref, gp))) for x in xs]
+        rows = _d2_rows(gp, t_ref, np.geomspace(0.01 * width, 100.0 * width, 101))
     write_table(path, ["t", "x", "d2"], rows)
     record("d2_grid", path)
+
+
+def _d2_rows(gp: pme.GoverningParams, t: float, xs) -> list:
+    """(t, x, D2(x, t)) rows, one x at a time: D2 of an array of x differs
+    in the last bits."""
+    return [(t, x, float(pme.black_scholes_d2(x, t, gp))) for x in xs]
 
 
 # --- synth ----------------------------------------------------------------
@@ -529,7 +532,7 @@ def cmd_synth(
             parts.append(selfsim_sample(q, law, t, n_per_lag - n_bump,
                                         seed=rng.integers(2**63)))
             samples = rng.permutation(np.concatenate(parts))
-        _write_samples(_samples_path(out, t), t, samples, meta)
+        write_array(_samples_path(out, t), samples, {"lag": t, "n": samples.size, **meta})
     write_json(out / "synth.json",
                {**meta, "lags": [float(t) for t in lags], "n_per_lag": n_per_lag})
     return out
@@ -710,6 +713,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _emit_json(obj, out: str) -> None:
+    """Print ``obj`` as JSON and, given ``out``, write the same text there."""
+    if out:
+        write_json(out, obj)
+    print(json_text(obj))
+
+
 def _run(args) -> int:
     if args.command == "pipeline":
         overrides = dict(_parse_setting(item, "--set: ") for item in args.set)
@@ -741,26 +751,14 @@ def _run(args) -> int:
             args.m, grid_points=args.grid_points, half_width=args.half_width,
             t1=args.t1, t2=args.t2, c_int=args.c_int, refinements=args.refinements,
         )
-        text = json.dumps(report, indent=2, sort_keys=True)
-        if args.out:
-            Path(args.out).write_text(text)
-        print(text)
+        _emit_json(report, args.out)
         return 0
 
     if args.command == "fit":
         pdf = _read_pdf(Path(args.pdf))
         window = tuple(args.window) if args.window else None
         fit = clp.fit_qgauss(pdf, restriction=window)
-        payload = {
-            "lag": fit.lag, "q": fit.params.q, "beta": fit.params.beta,
-            "q_err": fit.q_err, "beta_err": fit.beta_err,
-            "fit_residual": fit.fit_residual, "at_boundary": fit.at_boundary,
-            "grid_mass": fit.grid_mass,
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        if args.out:
-            Path(args.out).write_text(text)
-        print(text)
+        _emit_json({**clp.lag_fit_payload(fit), "grid_mass": fit.grid_mass}, args.out)
         return 0
 
     if args.command == "collapse":
@@ -777,7 +775,7 @@ def _run(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         clp.write_collapsed_csv(pts, out / "collapsed.npy")
-        clp.write_collapse_json(res, out / "collapse.json")
+        write_json(out / "collapse.json", clp.collapse_payload(res))
         print(f"collapse q={res.q:.6g} residual={res.collapse_residual:.6g}")
         return 0
 
@@ -785,9 +783,8 @@ def _run(args) -> int:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             gp = pme.map_constants(args.q, args.alpha, args.d_coef)
-        xs = np.linspace(args.x_min, args.x_max, args.n).tolist()
         write_table(args.out, ["t", "x", "d2"],
-                    [(args.t, x, float(pme.black_scholes_d2(x, args.t, gp))) for x in xs])
+                    _d2_rows(gp, args.t, np.linspace(args.x_min, args.x_max, args.n)))
         print(f"diffusion-coefficient grid written to {args.out}")
         return 0
 

@@ -37,6 +37,7 @@ __all__ = [
     "fit_beta_law",
     "fit_collapsed",
     "fit_qgauss",
+    "lag_fit_payload",
 ]
 
 MULTISTART_Q = (1.2, 1.7, 2.2, 2.7)
@@ -373,21 +374,22 @@ def fit_collapsed(
 
 # --- serialization -----------------------------------------------------
 
+def lag_fit_payload(fit: LagFit) -> dict:
+    """The JSON fields of one lag's fit, as ``lag_fits.json`` lists them."""
+    return {
+        "lag": fit.lag,
+        "q": fit.params.q,
+        "beta": fit.params.beta,
+        "fit_residual": fit.fit_residual,
+        "n_samples": fit.n_samples,
+        "q_err": fit.q_err,
+        "beta_err": fit.beta_err,
+        "at_boundary": fit.at_boundary,
+    }
+
+
 def write_lag_fits_json(fits, path) -> None:
-    rows = [
-        {
-            "lag": f.lag,
-            "q": f.params.q,
-            "beta": f.params.beta,
-            "fit_residual": f.fit_residual,
-            "n_samples": f.n_samples,
-            "q_err": f.q_err,
-            "beta_err": f.beta_err,
-            "at_boundary": f.at_boundary,
-        }
-        for f in fits
-    ]
-    write_json(path, rows)
+    write_json(path, [lag_fit_payload(f) for f in fits])
 
 
 def collapse_payload(result: CollapseResult) -> dict:
@@ -401,10 +403,6 @@ def collapse_payload(result: CollapseResult) -> dict:
         "q_err": result.q_err,
         "n_points": result.n_points,
     }
-
-
-def write_collapse_json(result: CollapseResult, path) -> None:
-    write_json(path, collapse_payload(result))
 
 
 def write_collapsed_csv(points: np.ndarray, path) -> None:

@@ -8,15 +8,13 @@ renormalized to unit trapezoid integral after grid truncation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.signal import fftconvolve
 
-from qdiff.io import read_array, write_array, write_json, write_table
+from qdiff.io import read_array, read_sidecar, write_array, write_table
 
 __all__ = [
     "EmpiricalPdf",
@@ -190,35 +188,27 @@ def write_pdf_csv(p: EmpiricalPdf, path) -> None:
     The name predates the ``.npy`` format; the pipeline names the file
     ``pdf_NNNNNN.npy``.
     """
-    path = Path(path)
-    write_array(path, np.column_stack([p.grid, p.density]))
-    sidecar = {"lag": p.lag, "n_samples": p.n_samples, "bandwidth": p.bandwidth}
-    write_json(path.with_suffix(".json"), sidecar)
+    write_array(path, np.column_stack([p.grid, p.density]),
+                {"lag": p.lag, "n_samples": p.n_samples, "bandwidth": p.bandwidth})
 
 
 def read_pdf_csv(path) -> EmpiricalPdf:
-    """Load a density written by ``write_pdf_csv``, with its sidecar if any.
+    """Load a density written by ``write_pdf_csv``, with its sidecar.
 
     The name predates the ``.npy`` format. The file must hold a 2-D float64
-    array of (x, density) rows, and the rows must make a valid EmpiricalPdf.
-    Pickled content is never loaded. Every defect raises ValueError naming
-    the file.
+    array of (x, density) rows, its sidecar must give the lag, and the rows
+    must make a valid EmpiricalPdf. Pickled content is never loaded. Every
+    defect raises ValueError naming the file.
     """
-    path = Path(path)
     data = read_array(path)
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2 or data.dtype != np.float64:
         raise ValueError(f"{path}: expected a float64 array of shape (n >= 2, 2), "
                          f"got {data.dtype!r} of shape {data.shape}")
-    meta_path = path.with_suffix(".json")
+    meta = read_sidecar(path)
     try:
-        meta = json.loads(meta_path.read_text()) if meta_path.exists() else {}
-        return EmpiricalPdf(
-            lag=float(meta.get("lag", 0.0)),
-            grid=data[:, 0],
-            density=data[:, 1],
-            n_samples=int(meta.get("n_samples", 0)),
-            bandwidth=float(meta.get("bandwidth", 0.0)),
-        )
+        return EmpiricalPdf(lag=float(meta["lag"]), grid=data[:, 0], density=data[:, 1],
+                            n_samples=int(meta.get("n_samples", 0)),
+                            bandwidth=float(meta.get("bandwidth", 0.0)))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -9,6 +9,7 @@ D=4.8e-3 1/min) and all tolerances are fixed here, not tuned at runtime.
 
 import json
 import math
+import shutil
 import warnings
 
 import numpy as np
@@ -40,6 +41,7 @@ from qdiff.regimes import (
 WEAK_Q, WEAK_ALPHA, WEAK_D = 1.71, 1.79, 0.1118
 STRONG_Q, STRONG_ALPHA, STRONG_D = 2.73, 1.26, 4.8e-3
 N_PER_LAG = 10**6
+MIX_WEIGHT, MIX_T_END = 0.5, 78.0  # strong weight MIX_WEIGHT * (1 - t / MIX_T_END)
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -56,6 +58,21 @@ def weak_run(tmp_path_factory):
                     lags=lags, n_per_lag=N_PER_LAG, seed=1000)
     cfg = RunConfig(ensembles=str(ens), out=str(base / "run"))
     out = cmd_pipeline(cfg)
+    return out
+
+
+@pytest.fixture(scope="module")
+def mixture_run(tmp_path_factory):
+    """Full-pipeline two-regime round trip: a strong component of weight
+    0.5 (1 - t/78) over the weak family, seed 7, 15 lags of 10^6 samples."""
+    base = tmp_path_factory.mktemp("mixture")
+    ens = cmd_synth(base / "ens", q=WEAK_Q, alpha=WEAK_ALPHA, d_coef=WEAK_D,
+                    lags=lag_ladder(1, 3000, 4), n_per_lag=N_PER_LAG, seed=7,
+                    mode="mixture", bump_q=STRONG_Q, bump_alpha=STRONG_ALPHA,
+                    bump_d=STRONG_D, bump_weight=MIX_WEIGHT, bump_t_end=MIX_T_END,
+                    bump_sharpness=1.0)
+    out = cmd_pipeline(RunConfig(ensembles=str(ens), out=str(base / "run")))
+    shutil.rmtree(ens)  # 120 MB of samples; the checks read the run only
     return out
 
 
@@ -305,4 +322,57 @@ class TestCriterion9GlobalDiffusion:
         ok = 1.7 <= alpha <= 1.9
         report(9, "global second-moment scaling", ok,
                f"moment exponent={fit.slope:.4f} -> alpha={alpha:.4f} in [1.7, 1.9]")
+        assert ok
+
+
+class TestCriterion10TwoRegimePipeline:
+    """Both regimes and the boundary from ``qdiff pipeline`` on a mixture,
+    with the tolerances of criteria 1, 2 and 4."""
+
+    def test_weak_regime_recovery(self, mixture_run):
+        res = json.loads((mixture_run / "collapse.json").read_text())["weak"]
+        dq = abs(res["q"] - WEAK_Q)
+        da = abs(res["alpha"] - WEAK_ALPHA)
+        dd = abs(res["d_coef"] - WEAK_D) / WEAK_D
+        ok = dq <= 0.05 and da <= 0.05 and dd <= 0.10
+        report(10, "two-regime pipeline, weak regime", ok,
+               f"q={res['q']:.4f} (|dq|={dq:.4f}<=0.05), "
+               f"alpha={res['alpha']:.4f} (|da|={da:.4f}<=0.05), "
+               f"D={res['d_coef']:.5f} (|dD|/D={dd:.3f}<=0.10)")
+        assert ok
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "one q-Gaussian per lag cannot describe the bump while the weak component "
+        "carries much of its density; needs the joint two-component fit of ROADMAP item 2"))
+    def test_strong_regime_and_boundary(self, mixture_run):
+        res = json.loads((mixture_run / "collapse.json").read_text()).get("strong")
+        strong_ok = res is not None and (
+            abs(res["q"] - STRONG_Q) <= 0.08
+            and abs(res["alpha"] - STRONG_ALPHA) <= 0.08
+            and abs(res["d_coef"] - STRONG_D) / STRONG_D <= 0.15
+        )
+        # the innermost analytic crossing, on the lags where the strong
+        # component dominates the centre
+        law_a = ScalingLaw(alpha=STRONG_ALPHA, d_coef=STRONG_D)
+        law_c = ScalingLaw(alpha=WEAK_ALPHA, d_coef=WEAK_D)
+        rows_true = []
+        for t in lag_ladder(1, 3000, 4):
+            t = float(t)
+            w = MIX_WEIGHT * max(0.0, 1.0 - t / MIX_T_END)
+            p_a = QParams(STRONG_Q, float(law_a.width(t)) ** -2)
+            p_c = QParams(WEAK_Q, float(law_c.width(t)) ** -2)
+            if w * qgauss_pdf(0.0, p_a) > (1.0 - w) * qgauss_pdf(0.0, p_c):
+                rows_true.append((t, mixture_crossing(w, p_a, p_c)))
+        table = np.genfromtxt(mixture_run / "boundaries.csv", delimiter=",", skip_header=1,
+                              ndmin=2)
+        found = {row[0]: (row[1], row[2]) for row in table if np.isfinite(row[2])}
+        rows_det = [(t, *found[t]) for t, _ in rows_true if t in found]
+        nu_true = fit_boundary_curve(rows_true).nu
+        nu_det = fit_boundary_curve(rows_det).nu if len(rows_det) >= 3 else math.nan
+        boundary_ok = len(rows_det) == len(rows_true) and abs(nu_det - nu_true) <= 0.1
+        ok = strong_ok and boundary_ok
+        report(10, "two-regime pipeline, strong regime and boundary", ok,
+               f"strong q, alpha, D = {[res and round(res[k], 4) for k in ('q', 'alpha', 'd_coef')]}; "
+               f"nu_detected={nu_det:.4f} vs crossing {nu_true:.4f} "
+               f"({len(rows_det)}/{len(rows_true)} lags)")
         assert ok

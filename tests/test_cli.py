@@ -123,6 +123,21 @@ class TestPipeline:
         manifest = json.loads((small_run / "manifest.json").read_text())
         assert "run_report.json" not in {a["path"] for a in manifest["artifacts"]}
 
+    def test_run_report_says_why_the_strong_regime_is_missing(self, small_run):
+        regimes = json.loads((small_run / "run_report.json").read_text())["regimes"]
+        partition = json.loads((small_run / "partition.json").read_text())
+        # no lag of the single-regime family shows a bump, so the default
+        # boundary curve stands and no strong collapse is attempted
+        assert regimes == {
+            "n_lags_with_bump": 0,
+            "nu_fitted": None,
+            "nu_clamped": partition["nu"],
+            "strong": "fewer than 3 lags with a bump (0)",
+        }
+        assert "collapsed_strong.npy" not in {
+            a["path"] for a in json.loads((small_run / "manifest.json").read_text())["artifacts"]
+        }
+
     def test_missing_input_fails_before_compute(self, tmp_path):
         cfg = RunConfig(input=str(tmp_path / "absent.csv"), out=str(tmp_path / "x"))
         with pytest.raises(ValidationError):
@@ -418,6 +433,47 @@ class TestEarlyBumpEnd:
         assert partition["n_lags_with_bump"] == 1
 
 
+class TestWeakZoneLags:
+    """With a bump on at least 3 lags, the weak regime comes from the lags
+    at or past the bump's end only."""
+
+    def test_too_few_lags_past_the_bump_end_fail_the_collapse(self, small_ensembles, tmp_path,
+                                                              monkeypatch):
+        # bumps at lags 1, 3, 10 and 32 of (1, 3, 10, 32, 100) end at
+        # sqrt(3200) = 56.6, which leaves one weak lag
+        monkeypatch.setattr(
+            reg, "bump_boundary", lambda pdf: (-1e-3, 1e-3) if pdf.lag < 40 else None
+        )
+        out = tmp_path / "run"
+        assert main(["pipeline", "--ensembles", str(small_ensembles), "--out", str(out),
+                     "--set", "max_lag=100"]) == 2
+        failed = (out / "FAILED").read_text()
+        assert failed.startswith("collapse")
+        assert f"t_bump_end {math.sqrt(3200.0):g}, got 1" in failed
+        assert not (out / "collapsed_weak.npy").exists()
+        report = json.loads((out / "run_report.json").read_text())
+        assert report["regimes"]["n_lags_with_bump"] == 4
+
+    def test_weak_lags_and_strong_reason(self, tmp_path, monkeypatch):
+        lags = lag_ladder(1, 100, 4)
+        ens = cmd_synth(tmp_path / "ens", q=1.71, alpha=1.79, d_coef=0.1118, lags=lags,
+                        n_per_lag=20_000, seed=5)
+        monkeypatch.setattr(
+            reg, "bump_boundary", lambda pdf: (-1e-3, 1e-3) if pdf.lag < 5 else None
+        )
+        out = cmd_pipeline(RunConfig(ensembles=str(ens), out=str(tmp_path / "run"),
+                                     max_lag=100.0, t_cross_start=1.5))
+        t_bump_end = json.loads((out / "partition.json").read_text())["t_bump_end"]
+        cloud = np.load(out / "collapsed_weak.npy", allow_pickle=False)
+        weak_lags = [float(t) for t in lags if t >= t_bump_end]
+        assert len(weak_lags) >= 3 and len(weak_lags) < len(lags)
+        assert sorted(np.unique(cloud[:, 2]).tolist()) == weak_lags
+        regimes = json.loads((out / "run_report.json").read_text())["regimes"]
+        assert regimes["n_lags_with_bump"] == 3
+        assert regimes["strong"] == "fewer than 3 lags below t_cross_start 1.5 (1)"
+        assert "strong" not in json.loads((out / "collapse.json").read_text())
+
+
 class TestStoredPdfs:
     """Per-lag densities and collapse clouds are .npy arrays that ``fit``
     and ``collapse`` read back; text pdfs are refused with the conversion."""
@@ -489,3 +545,39 @@ class TestStoredPdfs:
         else:
             assert self._collapse(pdfs, tmp_path / "col") == 1
         assert f"{bad}: expected a float64 array of shape (n >= 2, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["fit", "collapse"])
+    def test_pdf_without_its_sidecar_exits_1_naming_it(self, small_run, tmp_path, capsys,
+                                                        command):
+        pdfs = tmp_path / "pdfs"
+        shutil.copytree(small_run / "pdfs", pdfs)
+        bad = pdfs / "pdf_000010.npy"
+        bad.with_suffix(".json").unlink()
+        if command == "fit":
+            assert main(["fit", "--pdf", str(bad)]) == 1
+        else:
+            assert self._collapse(pdfs, tmp_path / "col") == 1
+            assert not (tmp_path / "col").exists()
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and "(no lag from sidecar pdf_000010.json)" in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fit", "--pdf", "{run}/pdfs/pdf_000010.npy"], id="fit"),
+        pytest.param(["verify-pme", "--m", "1.5", "--grid-points", "129", "--refinements", "1"],
+                     id="verify_pme"),
+    ])
+    def test_out_file_is_the_printed_json(self, small_run, tmp_path, capsys, argv):
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        assert main([a.format(run=small_run) for a in argv] + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text() + "\n"
+
+    def test_fit_prints_the_lag_fits_fields_and_grid_mass(self, small_run, capsys):
+        capsys.readouterr()
+        assert main(["fit", "--pdf", str(small_run / "pdfs" / "pdf_000010.npy")]) == 0
+        fit = json.loads(capsys.readouterr().out)
+        row = next(r for r in json.loads((small_run / "lag_fits.json").read_text())
+                   if r["lag"] == 10.0)
+        assert set(fit) == set(row) | {"grid_mass"}
+        assert fit["n_samples"] == row["n_samples"] == 30_000
+        assert 0.0 < fit["grid_mass"] <= 1.0

@@ -231,6 +231,7 @@ class TestNpyPdfFiles:
         ("one_row", "expected a float64 array of shape (n >= 2, 2)"),
         ("npz", "is an .npz archive"),
         ("missing", "not a readable .npy array"),
+        ("no_sidecar", "[Errno 2]"),  # a pdf without its lag is not read as lag 0
     ])
     def test_refuses_other_content_naming_the_file(self, tmp_path, name, message):
         path = tmp_path / f"pdf_{name}.npy"
@@ -249,6 +250,8 @@ class TestNpyPdfFiles:
             path.write_bytes(path.read_bytes()[:-100])
         elif name == "one_row":
             np.save(path, table[:1])
+        elif name == "no_sidecar":
+            np.save(path, table)
         elif name == "npz":
             with open(path, "wb") as fh:
                 np.savez(fh, table=table)
@@ -258,6 +261,7 @@ class TestNpyPdfFiles:
     def test_refuses_an_invalid_density(self, tmp_path):
         path = tmp_path / "pdf_000001.npy"
         est = stored_pdf()
+        write_pdf_csv(est, path)  # a valid sidecar, so the density is what fails
         np.save(path, np.column_stack([est.grid, 2.0 * est.density]))
         with pytest.raises(ValueError, match=f"{re.escape(path.name)}: density must integrate"):
             read_pdf_csv(path)

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from qdiff.io import CHUNK_ROWS, read_array, write_array, write_json, write_table
+from qdiff.io import json_text, read_array, read_sidecar, write_array, write_json, write_table
 
 
 def reference_table(path, header, rows):
@@ -50,8 +50,8 @@ class TestWriteTable:
         assert_same_bytes(tmp_path, ["t", "x", "d2"], [])
         assert_same_bytes(tmp_path, ["x_rescaled", "p_rescaled", "lag"], np.empty((0, 3)))
 
-    @pytest.mark.parametrize("n_rows", [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
-                                        2 * CHUNK_ROWS + 7])
+    # sizes around the 4096-row chunks an earlier array path wrote in
+    @pytest.mark.parametrize("n_rows", [4095, 4096, 4097, 8199])
     def test_array_across_chunk_boundaries(self, tmp_path, n_rows):
         rng = np.random.default_rng(n_rows)
         rows = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
@@ -60,7 +60,7 @@ class TestWriteTable:
 
     def test_rows_across_chunk_boundary(self, tmp_path):
         rng = np.random.default_rng(3)
-        vals = rng.standard_normal((CHUNK_ROWS + 5, 2)).tolist()
+        vals = rng.standard_normal((4101, 2)).tolist()
         rows = [(float(i), None, None) if i % 3 == 0 else (float(i), a, b)
                 for i, (a, b) in enumerate(vals)]
         assert_same_bytes(tmp_path, ["t", "x_minus", "x_plus"], rows)
@@ -78,6 +78,7 @@ class TestWriteJson:
         path = tmp_path / "doc.json"
         write_json(path, obj)
         assert path.read_bytes() == json.dumps(obj, indent=2, sort_keys=True).encode()
+        assert path.read_text() == json_text(obj)
         assert json.loads(path.read_text()) == obj
 
 
@@ -102,3 +103,33 @@ class TestArrays:
         np.save(path, np.array([{"a": 1}, None], dtype=object), allow_pickle=True)
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: not a readable .npy"):
             read_array(path)
+
+
+class TestSidecars:
+    def test_meta_is_written_beside_the_array(self, tmp_path):
+        path = tmp_path / "lag_000017.npy"
+        write_array(path, np.arange(3.0), {"lag": 17.0, "n": 3})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["lag_000017.json", "lag_000017.npy"]
+        assert path.with_suffix(".json").read_text() == json_text({"lag": 17.0, "n": 3})
+        assert read_sidecar(path) == {"lag": 17.0, "n": 3}
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file"),
+        ("{", "Expecting"),
+        ("[1.0]", "'lag' is None"),
+        ('{"n": 3}', "'lag' is None"),
+        ('{"lag": "17"}', "'lag' is '17'"),
+        ('{"lag": true}', "'lag' is True"),
+        ('{"lag": NaN}', "'lag' is nan"),
+        ('{"lag": 0}', "'lag' is 0,"),  # a zero lag rescales by a zero width
+    ], ids=["missing", "malformed", "not_an_object", "no_lag", "string_lag", "bool_lag",
+            "nan_lag", "zero_lag"])
+    def test_refuses_a_sidecar_without_a_numeric_lag(self, tmp_path, text, message):
+        path = tmp_path / "pdf_000017.npy"
+        write_array(path, np.arange(3.0))
+        if text is not None:
+            path.with_suffix(".json").write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ") + ".*"
+                           + re.escape(message) + ".*"
+                           + re.escape("(no lag from sidecar pdf_000017.json)")):
+            read_sidecar(path)
