@@ -93,11 +93,10 @@ class RunConfig:
                                   f"or a line break, got {self.delimiter!r}")
 
 
-# Tuning factors; the first three are in units of a lag's scale (``_lag_scale``).
+# Tuning factors, in units of a lag's scale (``_lag_scale``).
 BANDWIDTH_SCALE = 0.05         # adaptive kernel bandwidth
 CORE_SPAN_SCALES = 250.0       # half-width of the core density grid
 MOMENT_WINDOW_SCALES = 4000.0  # half-width of the second-moment window
-FIT_FLOOR_COUNTS = 50.0        # kernel counts below which a grid point is not fitted
 
 
 def _parse_setting(text: str, where: str) -> tuple[str, object]:
@@ -373,15 +372,7 @@ def _stage_regimes(cfg, out, state, record):
 
 
 def _stage_lag_fits(cfg, out, state, record):
-    fits = []
-    for p, ens in zip(state["core_pdfs"], state["ensembles"]):
-        floor = max(
-            clp.DENSITY_FLOOR,
-            FIT_FLOOR_COUNTS
-            / (len(ens.returns) * p.bandwidth * math.sqrt(2.0 * math.pi))
-            / float(np.max(p.density)),
-        )
-        fits.append(clp.fit_qgauss(p, density_floor=floor))
+    fits = [clp.fit_qgauss(p) for p in state["core_pdfs"]]
     path = out / "lag_fits.json"
     clp.write_lag_fits_json(fits, path)
     record("lag_fits", path)
@@ -392,7 +383,6 @@ def _stage_collapse(cfg, out, state, record):
     fits = state["lag_fits"]
     pdfs = state["core_pdfs"]
     partition: reg.RegimePartition = state["partition"]
-    masses = {f.lag: f.grid_mass for f in fits}
     regimes = state["report"]["regimes"]
 
     # the bump's narrow component widens every lag it is part of, so with a
@@ -402,10 +392,8 @@ def _stage_collapse(cfg, out, state, record):
     if state["has_bumps"] and len(weak_fits) < 3:
         raise clp.FitError(f"the weak regime needs >= 3 lags at or past t_bump_end "
                            f"{t_weak:g}, got {len(weak_fits)}")
-    scaling = clp.fit_beta_law(weak_fits)
-    pts_weak = clp.collapse_pdfs([p for p in pdfs if p.lag >= t_weak], scaling,
-                                 grid_masses=masses)
-    results = {"weak": clp.fit_collapsed(pts_weak, scaling, zone="C")}
+    pts_weak, weak = clp.collapse_zone([p for p in pdfs if p.lag >= t_weak], weak_fits, "C")
+    results = {"weak": weak}
     clp.write_collapsed_csv(pts_weak, out / "collapsed_weak.npy")
     record("collapse", out / "collapsed_weak.npy")
 
@@ -416,18 +404,17 @@ def _stage_collapse(cfg, out, state, record):
         regimes["strong"] = (f"fewer than 3 lags below t_cross_start "
                              f"{partition.t_cross_start:g} ({len(strong_fits)})")
     else:
-        strong_scaling = clp.fit_beta_law(strong_fits)
-        pts_strong = clp.collapse_pdfs(
-            [p for p in pdfs if p.lag < partition.t_cross_start], strong_scaling,
-            restriction=lambda t, xs: np.abs(xs) < partition.boundary(t), grid_masses=masses,
-        )
         try:
-            results["strong"] = clp.fit_collapsed(pts_strong, strong_scaling, zone="A")
+            pts_strong, results["strong"] = clp.collapse_zone(
+                [p for p in pdfs if p.lag < partition.t_cross_start], strong_fits, "A",
+                restriction=lambda t, xs: np.abs(xs) < partition.boundary(t),
+            )
+        except clp.FitError as exc:
+            regimes["strong"] = str(exc)
+        else:
             clp.write_collapsed_csv(pts_strong, out / "collapsed_strong.npy")
             record("collapse", out / "collapsed_strong.npy")
             regimes["strong"] = "fitted"
-        except clp.FitError as exc:
-            regimes["strong"] = str(exc)
 
     payload = {name: clp.collapse_payload(res) for name, res in results.items()}
     cpath = out / "collapse.json"
@@ -562,7 +549,7 @@ def cmd_verify_pme(
         raise ValidationError(f"m={m!r} outside (-1, 2) or degenerate at 0")
     report: dict = {"m": m, "c_int": c_int, "t1": t1, "t2": t2}
 
-    b = (1.0 - m) / (2.0 * m * (m + 1.0)) if m != 1.0 else 0.0
+    b = pme.profile_coef(m)
     if m == 1.0:
         probe_x = np.linspace(0.1, 3.0, 13) * math.sqrt(t1)
     elif b > 0:
@@ -770,8 +757,9 @@ def _run(args) -> int:
         if len(pdfs) < 2:
             raise ValidationError(f"need >= 2 pdf_*.npy files under {pdf_dir}")
         scaling = ScalingLaw(alpha=args.alpha, d_coef=args.d_coef)
-        pts = clp.collapse_pdfs(pdfs, scaling)
-        res = clp.fit_collapsed(pts, scaling)
+        # each pdf's own fit gives the grid mass the pipeline scales it by
+        fits = [clp.fit_qgauss(p) for p in pdfs]
+        pts, res = clp.collapse_zone(pdfs, fits, "C", scaling)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         clp.write_collapsed_csv(pts, out / "collapsed.npy")

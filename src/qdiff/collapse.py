@@ -34,6 +34,7 @@ __all__ = [
     "collapse_payload",
     "collapse_pdfs",
     "collapse_spread",
+    "collapse_zone",
     "fit_beta_law",
     "fit_collapsed",
     "fit_qgauss",
@@ -43,6 +44,7 @@ __all__ = [
 MULTISTART_Q = (1.2, 1.7, 2.2, 2.7)
 MAX_ITER = 500
 DENSITY_FLOOR = 1e-6  # relative to the peak; below this points carry no weight
+FIT_FLOOR_COUNTS = 50.0  # kernel counts below which a KDE grid point is not fitted
 
 
 @dataclass(frozen=True)
@@ -187,19 +189,18 @@ def _beta_start_from_halfwidth(x: np.ndarray, log_dens: np.ndarray) -> tuple[flo
     return tuple(starts)
 
 
-def fit_qgauss(
-    p: EmpiricalPdf,
-    restriction: tuple[float, float] | None = None,
-    *,
-    density_floor: float | None = None,
-) -> LagFit:
+def fit_qgauss(p: EmpiricalPdf, restriction: tuple[float, float] | None = None) -> LagFit:
     """Fit (q, beta) to one density in log space.
 
     ``restriction`` limits the fit to grid points inside an (lo, hi)
-    window, e.g. the bump domain for strong-regime fits. Points below
-    the density floor (default 1e-6 of the peak) are excluded. The model
-    is conditioned on the estimate's own grid span, since the estimate
-    integrates to one there no matter how much tail mass lies beyond.
+    window, e.g. the bump domain for strong-regime fits. Points at or
+    below the density floor are excluded: ``FIT_FLOOR_COUNTS`` kernel
+    counts, from the sample count and bandwidth every KDE carries, and
+    never below ``DENSITY_FLOOR`` of the peak, or ``DENSITY_FLOOR`` of the
+    peak for a pdf with no samples or no bandwidth (analytic pdfs). The
+    model is conditioned on the estimate's own grid span, since the
+    estimate integrates to one there no matter how much tail mass lies
+    beyond.
     Fits that end on the q-domain boundary are flagged, not rejected; an
     exact Gaussian legitimately fits at the lower edge.
     """
@@ -210,10 +211,12 @@ def fit_qgauss(
         lo, hi = restriction
         mask = (x >= lo) & (x <= hi)
         x, dens = x[mask], dens[mask]
-    floor = (DENSITY_FLOOR if density_floor is None else density_floor) * float(
-        np.max(p.density)
-    )
-    keep = dens > max(floor, 0.0)
+    peak = float(np.max(p.density))
+    floor = DENSITY_FLOOR
+    if p.n_samples > 0 and p.bandwidth > 0.0:
+        counts = FIT_FLOOR_COUNTS / (p.n_samples * p.bandwidth * math.sqrt(2.0 * math.pi))
+        floor = max(DENSITY_FLOOR, counts / peak)
+    keep = dens > floor * peak
     x, dens = x[keep], dens[keep]
     if x.size < 10:
         raise FitError(f"need >= 10 usable grid points, got {x.size}")
@@ -336,29 +339,23 @@ def collapse_spread(points: np.ndarray, n_grid: int = 512) -> float:
     return float(np.sqrt(np.nanmean(dev**2)))
 
 
-def fit_collapsed(
-    points: np.ndarray,
-    scaling: ScalingLaw,
-    zone: str = "C",
-    fix_beta_one: bool = True,
-    *,
-    density_floor: float = DENSITY_FLOOR,
-) -> CollapseResult:
+def fit_collapsed(points: np.ndarray, scaling: ScalingLaw, zone: str = "C") -> CollapseResult:
     """Fit the master curve of pooled rescaled points to a unit q-Gaussian.
 
-    The inverse-width is pinned to 1 (the rescaling already carries the
-    widths) unless ``fix_beta_one`` is False. Needs >= 50 pooled points.
+    The inverse-width is pinned to 1, since the rescaling already carries
+    the widths. Points at or below ``DENSITY_FLOOR`` of the peak are not
+    fitted. Needs >= 50 pooled points.
     """
     if points.shape[0] < 50:
         raise FitError(f"need >= 50 pooled points, got {points.shape[0]}")
     x = points[:, 0]
     dens = points[:, 1]
-    keep = dens > density_floor * float(np.max(dens))
+    keep = dens > DENSITY_FLOOR * float(np.max(dens))
     x, dens = x[keep], dens[keep]
     if x.size < 50:
         raise FitError(f"need >= 50 usable pooled points, got {x.size}")
     q_hat, log_beta, rms, stderr, converged = _fit_log_density(
-        x, np.log(dens), fix_beta_one=fix_beta_one
+        x, np.log(dens), fix_beta_one=True
     )
     if not converged:
         raise FitError("collapsed fit did not converge within the iteration cap")
@@ -370,6 +367,22 @@ def fit_collapsed(
         q_err=float(stderr[0]),
         n_points=int(x.size),
     )
+
+
+def collapse_zone(pdfs, fits, zone: str, scaling: ScalingLaw | None = None,
+                  restriction=None) -> tuple[np.ndarray, CollapseResult]:
+    """One zone's data collapse: the pooled cloud and its master-curve fit.
+
+    ``fits`` are the per-lag fits of ``pdfs``. Without a given
+    ``scaling`` the beta law is fitted to them. Each lag's density is
+    scaled by its fit's grid mass before pooling, and ``restriction`` is
+    passed on to ``collapse_pdfs``.
+    """
+    if scaling is None:
+        scaling = fit_beta_law(fits)
+    points = collapse_pdfs(pdfs, scaling, restriction=restriction,
+                           grid_masses={f.lag: f.grid_mass for f in fits})
+    return points, fit_collapsed(points, scaling, zone=zone)
 
 
 # --- serialization -----------------------------------------------------

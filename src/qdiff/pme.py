@@ -37,6 +37,7 @@ __all__ = [
     "black_scholes_d2",
     "governing_profile",
     "map_constants",
+    "profile_coef",
     "solve_governing",
     "solve_pme",
     "write_field_csv",
@@ -49,7 +50,8 @@ class SolverError(RuntimeError):
     """Evolution failed: instability, mass drift, or ill-posed exponent."""
 
 
-def _profile_coef(m: float) -> float:
+def profile_coef(m: float) -> float:
+    """Barenblatt profile coefficient b = (1 - m)/(2 m (m + 1)); 0 at m = 1."""
     return (1.0 - m) / (2.0 * m * (m + 1.0))
 
 
@@ -81,7 +83,7 @@ def barenblatt(x, t: float, m: float, c_int: float):
         return out if out.ndim else float(out)
     beta = 1.0 / (m + 1.0)
     xi = x * t**-beta
-    bracket = c_int + _profile_coef(m) * xi * xi
+    bracket = c_int + profile_coef(m) * xi * xi
     expo = 1.0 / (m - 1.0)
     safe = np.where(bracket > 0.0, bracket, 1.0)
     if m > 1.0:
@@ -96,7 +98,7 @@ def barenblatt_mass(m: float, c_int: float) -> float:
     """Total mass of the source solution (time invariant)."""
     if m == 1.0:
         return c_int
-    b = _profile_coef(m)
+    b = profile_coef(m)
     if 0.0 < m < 1.0:
         # int (1 + y^2)^(-s) dy = sqrt(pi) Gamma(s - 1/2)/Gamma(s)
         s = 1.0 / (1.0 - m)
@@ -382,14 +384,13 @@ def solve_pme(
     initial: PmeField,
     t_end: float,
     *,
-    scheme: str = "auto",
+    scheme: str = "implicit",
     bc: str = "zero-flux",
     boundary_values=None,
     dt_safety: float = 0.4,
     log_step: float = 2e-4,
     max_steps: int = 5_000_000,
     mass_tol: float = 1e-6,
-    explicit_step_budget: int = 300_000,
 ) -> SolveResult:
     """Evolve u_t = (u^m)_xx from ``initial.time`` to ``t_end``.
 
@@ -398,7 +399,6 @@ def solve_pme(
     * scheme 'implicit': backward Euler with lagged coefficients and
       geometric time steps dt = log_step * t, for stiff fast-diffusion
       runs where the explicit bound collapses.
-    * 'auto' picks explicit when its step count fits the budget.
 
     ``bc`` is 'zero-flux' (conservative; mass drift is checked against
     ``mass_tol``) or 'dirichlet' with ``boundary_values(t) -> (lo, hi)``
@@ -414,6 +414,8 @@ def solve_pme(
         )
     if not (t_end > initial.time):
         raise ValueError(f"t_end={t_end!r} must exceed the initial time {initial.time!r}")
+    if scheme not in ("explicit", "implicit"):
+        raise ValueError(f"unknown scheme {scheme!r}")
     if bc not in ("zero-flux", "dirichlet"):
         raise ValueError(f"unknown boundary closure {bc!r}")
     if bc == "dirichlet" and boundary_values is None:
@@ -425,11 +427,6 @@ def solve_pme(
     t = initial.time
     mass0 = initial.mass
 
-    if scheme == "auto":
-        d_max = float(np.max(m * np.maximum(u, U_FLOOR) ** (m - 1.0)))
-        dt_exp = dt_safety * dx * dx / (2.0 * d_max)
-        scheme = "explicit" if (t_end - t) / dt_exp <= explicit_step_budget else "implicit"
-
     floor_hits = 0
     steps = 0
     while t < t_end:
@@ -440,10 +437,8 @@ def solve_pme(
             if not math.isfinite(d_max) or d_max <= 0.0:
                 raise SolverError(f"stability bound unavailable (max diffusivity {d_max!r})")
             dt = min(dt_safety * dx * dx / (2.0 * d_max), t_end - t)
-        elif scheme == "implicit":
-            dt = min(log_step * t if t > 0.0 else log_step, t_end - t)
         else:
-            raise ValueError(f"unknown scheme {scheme!r}")
+            dt = min(log_step * t if t > 0.0 else log_step, t_end - t)
         bdry = boundary_values(t + dt) if boundary_values is not None else None
         stepper = _step_explicit if scheme == "explicit" else _step_implicit
         u = stepper(u, dx, dt, m, bc, bdry)

@@ -33,7 +33,6 @@ __all__ = [
     "detect_bump_end",
     "fit_boundary_curve",
     "fit_height_law",
-    "partition_zones",
 ]
 
 # Paper-calibrated defaults for the S&P500-style analysis; both crossover
@@ -45,6 +44,13 @@ DEFAULT_T_BUMP_END = 78.0
 # too few lags show a bump to fit one.
 DEFAULT_BOUNDARY_A = 0.0339
 DEFAULT_BOUNDARY_NU = 0.62
+
+# Bump detector tuning (``bump_boundary``).
+DENSITY_FLOOR = 1e-6        # relative to the peak; lower grid points are not profiled
+N_LOG_GRID = 512            # cells of the uniform log|x| grid per side
+SG_WINDOW = 61              # Savitzky-Golay window, in log-grid cells
+CURVATURE_THRESHOLD = 0.15  # least log-log curvature of a slope break
+MIN_BREAK_RUN = 0.6         # least width of its positive-curvature run, in log units
 
 
 @dataclass(frozen=True)
@@ -88,19 +94,6 @@ class RegimePartition:
         return labels
 
 
-def partition_zones(boundary, t_cross_start: float, t_bump_end: float) -> RegimePartition:
-    """Build the zone partition from a fitted (a, nu[, t0]) boundary curve."""
-    if isinstance(boundary, RegimePartition):
-        a, nu, t0 = boundary.a, boundary.nu, boundary.t0
-    elif isinstance(boundary, BoundaryFit):
-        a, nu, t0 = boundary.a, boundary.nu, boundary.t0
-    else:
-        a, nu, *rest = boundary
-        t0 = rest[0] if rest else 1.0
-    return RegimePartition(a=a, nu=nu, t0=t0,
-                           t_cross_start=t_cross_start, t_bump_end=t_bump_end)
-
-
 @dataclass(frozen=True)
 class PowerLawFit:
     """Fitted y ~ prefactor * t^exponent over fit_range, in log-log space."""
@@ -131,8 +124,7 @@ class BoundaryFit:
     n_points: int
 
 
-def _side_profile(x: np.ndarray, dens: np.ndarray, n_log_grid: int,
-                  sg_window: int):
+def _side_profile(x: np.ndarray, dens: np.ndarray):
     """Log-log profile of one side: (log_pos, logp, slope, curv).
 
     ``x`` holds positive distances from the peak, increasing, with their
@@ -141,49 +133,47 @@ def _side_profile(x: np.ndarray, dens: np.ndarray, n_log_grid: int,
     suppresses estimator noise); empty cells are filled by interpolation.
     Returns None when the side is too short to filter.
     """
-    if x.size < sg_window + 2:
+    if x.size < SG_WINDOW + 2:
         return None
     s = np.log(x)
     logp_lin = np.log(dens)
-    edges = np.linspace(s[0], s[-1], n_log_grid + 1)
+    edges = np.linspace(s[0], s[-1], N_LOG_GRID + 1)
     ds = edges[1] - edges[0]
     centers = edges[:-1] + 0.5 * ds
-    cell = np.clip(((s - edges[0]) / ds).astype(np.int64), 0, n_log_grid - 1)
-    sums = np.bincount(cell, weights=logp_lin, minlength=n_log_grid)
-    counts = np.bincount(cell, minlength=n_log_grid)
+    cell = np.clip(((s - edges[0]) / ds).astype(np.int64), 0, N_LOG_GRID - 1)
+    sums = np.bincount(cell, weights=logp_lin, minlength=N_LOG_GRID)
+    counts = np.bincount(cell, minlength=N_LOG_GRID)
     filled = counts > 0
-    logp = np.empty(n_log_grid)
+    logp = np.empty(N_LOG_GRID)
     logp[filled] = sums[filled] / counts[filled]
     if not filled.all():
         logp[~filled] = np.interp(centers[~filled], centers[filled], logp[filled])
-    slope = savgol_filter(logp, sg_window, polyorder=3, deriv=1, delta=ds)
-    curv = savgol_filter(logp, sg_window, polyorder=3, deriv=2, delta=ds)
-    margin = sg_window // 2 + 1  # filter output unreliable near the ends
-    if n_log_grid <= 2 * margin + 2:
-        return None
-    sl = slice(margin, n_log_grid - margin)
+    slope = savgol_filter(logp, SG_WINDOW, polyorder=3, deriv=1, delta=ds)
+    curv = savgol_filter(logp, SG_WINDOW, polyorder=3, deriv=2, delta=ds)
+    margin = SG_WINDOW // 2 + 1  # filter output unreliable near the ends
+    sl = slice(margin, N_LOG_GRID - margin)
     return centers[sl], logp[sl], slope[sl], curv[sl]
 
 
-def _innermost_spike(log_pos, curv, threshold: float, min_run: float) -> int | None:
+def _innermost_spike(log_pos, curv) -> int | None:
     """Index of the innermost qualifying positive-curvature spike, or None.
 
     A spike qualifies when it is a positive local maximum above
-    ``threshold`` whose contiguous positive run spans at least ``min_run``
-    log-units; noise spikes ride on runs no wider than the smoothing
-    window and are rejected by the run-length condition.
+    ``CURVATURE_THRESHOLD`` whose contiguous positive run spans at least
+    ``MIN_BREAK_RUN`` log-units; noise spikes ride on runs no wider than
+    the smoothing window and are rejected by the run-length condition.
     """
     ds = log_pos[1] - log_pos[0]
     inner = np.arange(1, curv.size - 1)
     is_max = (curv[inner] >= curv[inner - 1]) & (curv[inner] >= curv[inner + 1])
-    for spike in inner[is_max & (curv[inner] > threshold)]:
+    for spike in inner[is_max & (curv[inner] > CURVATURE_THRESHOLD)]:
         run_lo = spike
         while run_lo > 0 and curv[run_lo - 1] > 0.0:
             run_lo -= 1
         run_hi = spike
         while run_hi < curv.size - 1 and curv[run_hi + 1] > 0.0:
             run_hi += 1
-        if (run_hi - run_lo) * ds >= min_run:
+        if (run_hi - run_lo) * ds >= MIN_BREAK_RUN:
             return int(spike)
     return None
 
@@ -250,15 +240,7 @@ def _two_component_crossing(log_pos, logp, x_spike: float) -> float | None:
     return float(brentq(imbalance, scan[k], scan[k + 1]))
 
 
-def bump_boundary(
-    p: EmpiricalPdf,
-    *,
-    density_floor: float = 1e-6,
-    n_log_grid: int = 512,
-    sg_window: int = 61,
-    curvature_threshold: float = 0.15,
-    min_break_run: float = 0.6,
-) -> tuple[float, float] | None:
+def bump_boundary(p: EmpiricalPdf) -> tuple[float, float] | None:
     """Locate the bump edges (x_minus, x_plus), or None when no bump exists.
 
     Each side of the peak is resampled on a uniform log|x| grid and the
@@ -266,8 +248,8 @@ def bump_boundary(
     coordinates a single q-Gaussian (or Gaussian) has strictly
     nonpositive curvature, while a bump handing over to a wider component
     produces an upward slope break: a positive curvature spike above
-    ``curvature_threshold`` (dimensionless) riding on a positive run at
-    least ``min_break_run`` log-units wide. The innermost such break per
+    ``CURVATURE_THRESHOLD`` (dimensionless) riding on a positive run at
+    least ``MIN_BREAK_RUN`` log-units wide. The innermost such break per
     side gates detection; the reported edge is then refined by a local
     two-component decomposition of the side profile, whose fitted
     component crossing is the operational meaning of "edge of the bump".
@@ -277,7 +259,7 @@ def bump_boundary(
     core width, otherwise the kernel itself imprints a slope break.
     """
     dens = p.density
-    floor = density_floor * float(np.max(dens))
+    floor = DENSITY_FLOOR * float(np.max(dens))
     x_peak = p.grid[int(np.argmax(dens))]
     dx = p.dx
 
@@ -299,11 +281,11 @@ def bump_boundary(
         elif run_end.size:
             keep = x_side.size - 1 - run_end[-1]
             x_side, d_side = x_side[:keep], d_side[:keep]
-        prof = _side_profile(x_side, d_side, n_log_grid, sg_window)
+        prof = _side_profile(x_side, d_side)
         if prof is None:
             return None
         log_pos, logp, _, curv = prof
-        spike = _innermost_spike(log_pos, curv, curvature_threshold, min_break_run)
+        spike = _innermost_spike(log_pos, curv)
         if spike is None:
             return None
         x_spike = math.exp(log_pos[spike])

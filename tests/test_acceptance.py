@@ -92,10 +92,7 @@ def strong_chain():
         est = kde(x, bandwidth=h, grid=(-70.0 * w, 70.0 * w, 8193))
         est = type(est)(lag=t, grid=est.grid, density=est.density,
                         n_samples=est.n_samples, bandwidth=est.bandwidth)
-        floor = max(1e-6, (50.0 / (N_PER_LAG * h * math.sqrt(2 * math.pi)))
-                    / float(np.max(est.density)))
-        fits.append(fit_qgauss(est, restriction=(-bound(t), bound(t)),
-                               density_floor=floor))
+        fits.append(fit_qgauss(est, restriction=(-bound(t), bound(t))))
         pdfs.append(est)
     return pdfs, fits, bound
 

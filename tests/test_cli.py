@@ -581,3 +581,25 @@ class TestStoredPdfs:
         assert set(fit) == set(row) | {"grid_mass"}
         assert fit["n_samples"] == row["n_samples"] == 30_000
         assert 0.0 < fit["grid_mass"] <= 1.0
+
+    def test_fit_reproduces_every_lag_fits_row(self, small_run, capsys):
+        rows = json.loads((small_run / "lag_fits.json").read_text())
+        paths = sorted((small_run / "pdfs").glob("pdf_*.npy"))
+        assert len(paths) == len(rows) == 5
+        for path, row in zip(paths, rows):
+            capsys.readouterr()
+            assert main(["fit", "--pdf", str(path)]) == 0
+            fit = json.loads(capsys.readouterr().out)
+            assert fit.pop("grid_mass") <= 1.0
+            assert fit == row, path.name
+
+    def test_collapse_with_the_run_scaling_reproduces_the_weak_block(self, small_run, tmp_path,
+                                                                     capsys):
+        assert json.loads((small_run / "run_report.json").read_text())["regimes"][
+            "n_lags_with_bump"] < 3  # so every lag is in the weak zone
+        weak = json.loads((small_run / "collapse.json").read_text())["weak"]
+        out = tmp_path / "col"
+        assert main(["collapse", "--pdfs", str(small_run / "pdfs"), "--alpha", repr(weak["alpha"]),
+                     "--d-coef", repr(weak["d_coef"]), "--out", str(out)]) == 0
+        assert json.loads((out / "collapse.json").read_text()) == weak
+        assert (out / "collapsed.npy").read_bytes() == (small_run / "collapsed_weak.npy").read_bytes()

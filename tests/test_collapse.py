@@ -54,7 +54,7 @@ class TestFitQGauss:
         p = QParams(2.73, 1e4)
         x = qgauss_sample(p, 10**6, seed=21)
         est = kde(x, bandwidth=0.0008, grid=(-1.0, 1.0, 16385))
-        fit = fit_qgauss(est, restriction=(-0.034, 0.034), density_floor=3e-4)
+        fit = fit_qgauss(est, restriction=(-0.034, 0.034))
         assert fit.params.q == pytest.approx(2.73, abs=0.05)
 
     def test_truncation_aware_on_renormalized_grid(self):
@@ -204,13 +204,6 @@ class TestFitCollapsed:
         pts = collapse_pdfs(pdfs, law)
         res = fit_collapsed(pts, law, zone="C")
         assert res.q - 1.0 < 1e-3
-
-    def test_free_beta_variant(self):
-        law = ScalingLaw(alpha=1.79, d_coef=0.1118)
-        pdfs = selfsim_family(1.71, law, [1.0, 30.0, 900.0])
-        pts = collapse_pdfs(pdfs, law)
-        res = fit_collapsed(pts, law, zone="C", fix_beta_one=False)
-        assert res.q == pytest.approx(1.71, abs=1e-3)
 
     def test_too_few_points(self):
         with pytest.raises(FitError):

@@ -270,14 +270,12 @@ class TestSolvePme:
         with pytest.raises(SolverError, match="budget"):
             solve_pme(f0, 100.0, scheme="explicit", max_steps=3)
 
-    def test_auto_scheme_picks_implicit_for_stiff_runs(self):
-        m = 0.29
-        grid = np.linspace(-45, 45, 1025)
-        f0 = barenblatt_field(grid, 1.0, m)
-        res = solve_pme(f0, 1.05, bc="dirichlet",
-                        boundary_values=analytic_boundary(grid, m),
-                        explicit_step_budget=1000)
-        assert res.scheme == "implicit"
+    def test_unknown_scheme_rejected_before_stepping(self):
+        grid = np.linspace(-5, 5, 257)
+        f0 = barenblatt_field(grid, 1.0, 1.0)
+        for scheme in ("auto", "crank-nicolson"):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                solve_pme(f0, 2.0, scheme=scheme, max_steps=0)
 
 
 class TestSolveGoverning:

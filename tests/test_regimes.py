@@ -10,7 +10,6 @@ from qdiff.density import EmpiricalPdf, kde, pdf_height
 from qdiff.ingest import lag_ladder
 from qdiff.qgauss import QParams, ScalingLaw, qgauss_pdf, qgauss_sample, selfsim_height, selfsim_sample
 from qdiff.regimes import (
-    BoundaryFit,
     FitError,
     PowerLawFit,
     RegimePartition,
@@ -19,7 +18,6 @@ from qdiff.regimes import (
     fit_boundary_curve,
     fit_height_law,
     height_alpha,
-    partition_zones,
 )
 
 BUMP = QParams(2.73, 1e4)
@@ -175,17 +173,9 @@ class TestPartition:
         part = self.paper_partition()
         assert part.classify(0.0, 50.0)[0] == "B"
 
-    def test_partition_zones_constructor(self):
-        part = partition_zones((0.0339, 0.62, 1.0), 35.0, 78.0)
-        assert isinstance(part, RegimePartition)
-        fit = BoundaryFit(a=0.02, nu=0.5, t0=1.0, a_err=0.0, nu_err=0.0,
-                          residual=0.0, n_points=6)
-        part2 = partition_zones(fit, 10.0, 40.0)
-        assert part2.a == 0.02 and part2.t_bump_end == 40.0
-
     def test_inverted_times_rejected(self):
         with pytest.raises(ValueError, match="inverted"):
-            partition_zones((0.0339, 0.62), 78.0, 35.0)
+            RegimePartition(a=0.0339, nu=0.62, t_cross_start=78.0, t_bump_end=35.0)
 
     @given(st.floats(-5.0, 5.0), st.floats(0.1, 500.0))
     @settings(max_examples=200, deadline=None)
