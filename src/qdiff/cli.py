@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import sys
 import time
@@ -97,6 +98,9 @@ class RunConfig:
 BANDWIDTH_SCALE = 0.05         # adaptive kernel bandwidth
 CORE_SPAN_SCALES = 250.0       # half-width of the core density grid
 MOMENT_WINDOW_SCALES = 4000.0  # half-width of the second-moment window
+# a run is two-regime, with the weak zone past the bump's end, once this many
+# lags show a bump
+MIN_BUMP_LAGS = 3
 
 
 def _parse_setting(text: str, where: str) -> tuple[str, object]:
@@ -341,7 +345,7 @@ def _stage_regimes(cfg, out, state, record):
     write_json(ppath, payload)
     record("regimes", ppath)
     state["partition"] = partition
-    state["has_bumps"] = len(detected) >= 3
+    state["has_bumps"] = len(detected) >= MIN_BUMP_LAGS
     # the partition keeps nu inside (0, 1); the report keeps what was fitted
     state["report"]["regimes"] = {
         "n_lags_with_bump": len(detected),
@@ -540,8 +544,9 @@ def cmd_verify_pme(
     """Verify the analytic solution and the solver for one exponent.
 
     Reports the equation residual of the closed-form solution, the
-    sup-error of the evolved field against it, the mass drift, and a
-    spatial convergence order from grid refinements. For m <= 0 the
+    sup-error of the evolved field against it, the mass drift, a
+    spatial convergence order from grid refinements, and each level's
+    step count, floor hits and mass drift. For m <= 0 the
     evolution is ill-posed (negative diffusivity) and only the residual
     is reported.
     """
@@ -575,6 +580,7 @@ def cmd_verify_pme(
             half_width = 1.5 * math.sqrt(c_int / abs(b)) * t2 ** (1.0 / (m + 1.0))
 
     errors = []
+    by_level: dict = {"n_steps": [], "floor_hits": [], "mass_drift": []}
     for level in range(refinements):
         n = (grid_points - 1) * 2**level + 1
         grid = np.linspace(-half_width, half_width, n)
@@ -582,7 +588,8 @@ def cmd_verify_pme(
         field = pme.PmeField(grid=grid, u=u0, time=t1, m=m)
         if m < 1.0:
             bv = lambda t, ends=grid[[0, -1]]: tuple(pme.barenblatt(ends, t, m, c_int))
-            log_step = 2e-4 / 4**level
+            # TR-BDF2 is second order in time, like the grid in space
+            log_step = 2e-3 / 2**level
             res = pme.solve_pme(field, t2, scheme="implicit", bc="dirichlet",
                                 boundary_values=bv, log_step=log_step)
         else:
@@ -590,6 +597,8 @@ def cmd_verify_pme(
         exact = np.asarray(pme.barenblatt(grid, t2, m, c_int))
         err = float(np.max(np.abs(res.field.u - exact)))
         errors.append(err)
+        for key, values in by_level.items():
+            values.append(getattr(res, key))
         if level == 0:
             report["mass_drift"] = res.mass_drift
             report["n_steps"] = res.n_steps
@@ -606,6 +615,7 @@ def cmd_verify_pme(
                 report["front_numeric"] = front_num
                 report["front_error_cells"] = abs(front_num - front_exact) / dx
     report["sup_errors"] = errors
+    report.update({f"{key}_by_level": values for key, values in by_level.items()})
     if len(errors) >= 2:
         orders = [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
         report["convergence_orders"] = orders
@@ -628,6 +638,21 @@ def _read_pdf(path: Path) -> dns.EmpiricalPdf:
         return dns.read_pdf_csv(path)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+
+
+def _weak_zone_start(path: Path) -> float:
+    """The first lag of the weak zone of the pipeline run whose
+    ``partition.json`` is ``path``: its ``t_bump_end`` when that run saw a
+    bump on at least ``MIN_BUMP_LAGS`` lags, else every lag (-inf, also
+    when there is no such file)."""
+    if not path.exists():
+        return -math.inf
+    try:
+        partition = json.loads(path.read_text())
+        has_bumps = partition["n_lags_with_bump"] >= MIN_BUMP_LAGS
+        return float(partition["t_bump_end"]) if has_bumps else -math.inf
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: not a readable partition ({exc!r})") from exc
 
 
 # --- argument parsing -------------------------------------------------------
@@ -753,9 +778,11 @@ def _run(args) -> int:
         paths = sorted(pdf_dir.glob("pdf_*.npy"))
         if not paths and any(pdf_dir.glob("pdf_*.csv")):
             raise ValidationError(f"no pdf_*.npy files under {pdf_dir}; {_TEXT_PDF_HINT}")
-        pdfs = [_read_pdf(p) for p in paths]
+        t_weak = _weak_zone_start(pdf_dir.parent / "partition.json")
+        pdfs = [p for p in map(_read_pdf, paths) if p.lag >= t_weak]
         if len(pdfs) < 2:
-            raise ValidationError(f"need >= 2 pdf_*.npy files under {pdf_dir}")
+            raise ValidationError(f"need >= 2 pdf_*.npy files at lags >= {t_weak:g} "
+                                  f"under {pdf_dir}")
         scaling = ScalingLaw(alpha=args.alpha, d_coef=args.d_coef)
         # each pdf's own fit gives the grid mass the pipeline scales it by
         fits = [clp.fit_qgauss(p) for p in pdfs]

@@ -593,6 +593,15 @@ class TestStoredPdfs:
             assert fit.pop("grid_mass") <= 1.0
             assert fit == row, path.name
 
+    def test_collapse_refuses_an_unreadable_partition(self, small_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(small_run / "pdfs", run / "pdfs")
+        (run / "partition.json").write_text('{"t_bump_end": 80.0}')
+        capsys.readouterr()
+        assert main(["collapse", "--pdfs", str(run / "pdfs"), "--alpha", "1.79",
+                     "--d-coef", "0.1118", "--out", str(tmp_path / "col")]) == 1
+        assert f"{run / 'partition.json'}: not a readable partition" in capsys.readouterr().err
+
     def test_collapse_with_the_run_scaling_reproduces_the_weak_block(self, small_run, tmp_path,
                                                                      capsys):
         assert json.loads((small_run / "run_report.json").read_text())["regimes"][
