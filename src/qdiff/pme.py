@@ -2,7 +2,7 @@
 
 The analytic source solution, the map between the (B, C) constants of the
 rescaled-time formulation and the fitted (q, alpha, D), finite-difference
-evolution with explicit and implicit schemes, the time-rescaled governing
+evolution by TR-BDF2 for every m > 0, the time-rescaled governing
 equation for the collapsed densities, and the state-dependent diffusion
 coefficient that compares against the linear Fokker-Planck form.
 
@@ -15,15 +15,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.linalg import LinAlgError
 from scipy.linalg.lapack import dgtsv
-from scipy.special import gammaln
 
-from qdiff.io import write_json, write_table
 from qdiff.qgauss import Q_LIMIT_TOL, c_q, rescale_exponent
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
     "SolveResult",
     "SolverError",
     "barenblatt",
-    "barenblatt_mass",
     "barenblatt_residual",
     "black_scholes_d2",
     "governing_profile",
@@ -40,10 +37,11 @@ __all__ = [
     "profile_coef",
     "solve_governing",
     "solve_pme",
-    "write_field_csv",
 ]
 
 U_FLOOR = 1e-30  # floor before exponentiation; u^(m-1) diverges as u -> 0
+MASS_TOL = 1e-6  # relative mass drift a zero-flux solve may end with
+MAX_STEPS = 5_000_000  # step budget of one solve
 
 
 class SolverError(RuntimeError):
@@ -92,22 +90,6 @@ def barenblatt(x, t: float, m: float, c_int: float):
         out = np.where(bracket > 0.0, safe**expo, np.inf)
     out = t**-beta * out
     return out if out.ndim else float(out)
-
-
-def barenblatt_mass(m: float, c_int: float) -> float:
-    """Total mass of the source solution (time invariant)."""
-    if m == 1.0:
-        return c_int
-    b = profile_coef(m)
-    if 0.0 < m < 1.0:
-        # int (1 + y^2)^(-s) dy = sqrt(pi) Gamma(s - 1/2)/Gamma(s)
-        s = 1.0 / (1.0 - m)
-        log_i = 0.5 * math.log(math.pi) + gammaln(s - 0.5) - gammaln(s)
-    else:
-        # compact/interior bracket: int_{-1}^{1} (1 - y^2)^(1/(m-1)) dy
-        z = m / (m - 1.0)
-        log_i = 0.5 * math.log(math.pi) + gammaln(z) - gammaln(z + 0.5)
-    return c_int ** (1.0 / (m - 1.0) + 0.5) * abs(b) ** -0.5 * math.exp(log_i)
 
 
 def barenblatt_residual(
@@ -180,7 +162,7 @@ class SolveResult:
     mass_drift: float
     floor_hits: int
     n_steps: int
-    scheme: str
+    scheme: ClassVar[str] = "implicit"  # the one scheme; reports and traces keep the key
 
 
 @dataclass(frozen=True)
@@ -318,26 +300,11 @@ def black_scholes_d2(x, t: float, params: GoverningParams):
 
 # --- finite-difference evolution ----------------------------------------
 
-def _step_explicit(u, dx, dt, m, bc, bdry):
-    w = np.maximum(u, U_FLOOR) ** m
-    lap = (w[2:] - 2.0 * w[1:-1] + w[:-2]) / (dx * dx)
-    nxt = u.copy()
-    nxt[1:-1] += dt * lap
-    if bc == "zero-flux":
-        # Half-cell boundary update keeps the trapezoid mass exact.
-        nxt[0] += 2.0 * dt * (w[1] - w[0]) / (dx * dx)
-        nxt[-1] += 2.0 * dt * (w[-2] - w[-1]) / (dx * dx)
-    else:
-        nxt[0], nxt[-1] = bdry
-    return nxt
-
-
 def _face_diffusivity(v, m):
     """Face diffusivities of K(v), the linearized operator of (u^m)_xx at v.
 
     The secant D = (w_j - w_i)/(v_j - v_i) makes K(v) v the flux-form
-    Laplacian of v^m exactly, so spatial accuracy matches the explicit
-    scheme; flat faces take the tangent m v^(m-1).
+    Laplacian of v^m exactly; flat faces take the tangent m v^(m-1).
     """
     vf = np.maximum(v, U_FLOOR)
     w = vf**m
@@ -423,25 +390,20 @@ def solve_pme(
     initial: PmeField,
     t_end: float,
     *,
-    scheme: str = "implicit",
     bc: str = "zero-flux",
     boundary_values=None,
-    dt_safety: float = 0.4,
-    log_step: float = 2e-4,
-    max_steps: int = 5_000_000,
-    mass_tol: float = 1e-6,
+    log_step: float = 2e-3,
 ) -> SolveResult:
     """Evolve u_t = (u^m)_xx from ``initial.time`` to ``t_end``.
 
-    * scheme 'explicit': flux-form central differences, step from the
-      worst-case stability bound dt <= safety dx^2 / (2 max m u^(m-1)).
-    * scheme 'implicit': TR-BDF2 (second order in time, L-stable) with
-      coefficients extrapolated to each stage's time, see
-      ``_step_tr_bdf2``, and geometric time steps dt = log_step * t, for
-      stiff fast-diffusion runs where the explicit bound collapses.
+    Every m > 0 takes TR-BDF2 steps (second order in time, L-stable, so
+    no stability bound ties the step to dx^2) with coefficients
+    extrapolated to each stage's time, see ``_step_tr_bdf2``, and
+    geometric time steps dt = log_step * t. At most ``MAX_STEPS`` steps
+    are taken.
 
     ``bc`` is 'zero-flux' (conservative; mass drift is checked against
-    ``mass_tol``) or 'dirichlet' with ``boundary_values(t) -> (lo, hi)``
+    ``MASS_TOL``) or 'dirichlet' with ``boundary_values(t) -> (lo, hi)``
     pinning the edges (mass legitimately crosses the boundary there, so
     only the drift is reported, not enforced). m <= 0 is rejected: the
     literal equation has negative diffusivity there and an initial-value
@@ -454,8 +416,6 @@ def solve_pme(
         )
     if not (t_end > initial.time):
         raise ValueError(f"t_end={t_end!r} must exceed the initial time {initial.time!r}")
-    if scheme not in ("explicit", "implicit"):
-        raise ValueError(f"unknown scheme {scheme!r}")
     if bc not in ("zero-flux", "dirichlet"):
         raise ValueError(f"unknown boundary closure {bc!r}")
     if bc == "dirichlet" and boundary_values is None:
@@ -474,49 +434,26 @@ def solve_pme(
     steps = 0
     slope = None
     while t < t_end:
-        if steps >= max_steps:
+        if steps >= MAX_STEPS:
             raise SolverError(f"step budget exhausted at t={t!r} (of {t_end!r})")
-        if scheme == "explicit":
-            d_max = float(np.max(m * np.maximum(u, U_FLOOR) ** (m - 1.0)))
-            if not math.isfinite(d_max) or d_max <= 0.0:
-                raise SolverError(f"stability bound unavailable (max diffusivity {d_max!r})")
-            dt = min(dt_safety * dx * dx / (2.0 * d_max), t_end - t)
-            u = _step_explicit(u, dx, dt, m, bc, bdry(t + dt))
-        else:
-            dt = min(log_step * t if t > 0.0 else log_step, t_end - t)
-            old = u
-            u = _step_tr_bdf2(u, slope, dx, dt, m, bc, bdry(t + GAMMA * dt), bdry(t + dt))
+        dt = min(log_step * t if t > 0.0 else log_step, t_end - t)
+        old = u
+        u = _step_tr_bdf2(u, slope, dx, dt, m, bc, bdry(t + GAMMA * dt), bdry(t + dt))
         below = u < 0.0
         if below.any():
             floor_hits += int(np.sum(below))
             u = np.maximum(u, 0.0)
         if not np.isfinite(u).all():
             raise SolverError(f"non-finite field at t={t + dt!r}; step too large")
-        if scheme == "implicit":
-            slope = (u - old) / dt
+        slope = (u - old) / dt
         t += dt
         steps += 1
 
     field = PmeField(grid=initial.grid, u=u, time=t, m=m)
     drift = abs(field.mass - mass0) / mass0 if mass0 > 0.0 else 0.0
-    if bc == "zero-flux" and drift > mass_tol:
-        raise SolverError(f"mass drift {drift!r} exceeds tolerance {mass_tol!r}")
-    return SolveResult(field=field, mass_drift=drift, floor_hits=floor_hits,
-                       n_steps=steps, scheme=scheme)
-
-
-def write_field_csv(result: SolveResult | PmeField, path, **extra_meta) -> None:
-    """Field snapshot as CSV (x, u) plus a JSON sidecar with the metadata."""
-    field = result.field if isinstance(result, SolveResult) else result
-    path = Path(path)
-    write_table(path, ["x", "u"], np.column_stack([field.grid, field.u]))
-    meta = {"m": field.m, "time": field.time, "mass": field.mass, "dx": field.dx}
-    if isinstance(result, SolveResult):
-        meta.update({"scheme": result.scheme, "n_steps": result.n_steps,
-                     "mass_drift": result.mass_drift,
-                     "floor_hits": result.floor_hits})
-    meta.update(extra_meta)
-    write_json(path.with_suffix(".json"), meta)
+    if bc == "zero-flux" and drift > MASS_TOL:
+        raise SolverError(f"mass drift {drift!r} exceeds tolerance {MASS_TOL!r}")
+    return SolveResult(field=field, mass_drift=drift, floor_hits=floor_hits, n_steps=steps)
 
 
 def solve_governing(
@@ -524,10 +461,8 @@ def solve_governing(
     t_end: float,
     params: GoverningParams,
     *,
-    scheme: str = "implicit",
     bc: str = "dirichlet",
-    log_step: float = 2e-4,
-    **solver_options,
+    log_step: float = 2e-3,
 ) -> SolveResult:
     """Evolve the time-rescaled governing equation for the density P(x, t).
 
@@ -557,11 +492,7 @@ def solve_governing(
             )
 
     shifted = PmeField(grid=initial.grid, u=initial.u, time=tau0, m=initial.m)
-    result = solve_pme(
-        shifted, tau1, scheme=scheme, bc=bc, boundary_values=boundary_values,
-        log_step=log_step, **solver_options,
-    )
+    result = solve_pme(shifted, tau1, bc=bc, boundary_values=boundary_values,
+                       log_step=log_step)
     field = PmeField(grid=result.field.grid, u=result.field.u, time=t_end, m=initial.m)
-    return SolveResult(field=field, mass_drift=result.mass_drift,
-                       floor_hits=result.floor_hits, n_steps=result.n_steps,
-                       scheme=result.scheme)
+    return replace(result, field=field)

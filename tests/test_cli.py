@@ -178,6 +178,12 @@ class TestVerifyPme:
         report = cmd_verify_pme(1.5, grid_points=1025, refinements=1)
         assert report["front_error_cells"] <= 2.0
 
+    def test_slow_diffusion_report(self):
+        report = cmd_verify_pme(1.5, grid_points=257, refinements=2)
+        assert report["convergence_order"] == pytest.approx(2.0, abs=0.3)
+        assert report["floor_hits_by_level"] == [0, 0]
+        assert max(report["mass_drift_by_level"]) < 1e-12
+
     def test_negative_m_skips_evolution(self):
         report = cmd_verify_pme(-0.73, refinements=1)
         assert report["residual_rel_peak"] < 1e-6
