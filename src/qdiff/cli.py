@@ -124,12 +124,27 @@ def _parse_setting(text: str, where: str) -> tuple[str, object]:
         raise ValidationError(f"{where}{key}: expected {kind.__name__}, got {val!r}") from exc
 
 
+def _strip_comment(line: str) -> str:
+    """A config-file line without its comment.
+
+    ``#`` starts a comment, except as the first character of a value, which
+    a comment there would leave empty: ``delimiter = #`` sets ``#``, and so
+    does ``delimiter = #  # hash-separated``.
+    """
+    key, _, val = line.partition("=")
+    if "#" in key:
+        return line.split("#", 1)[0]
+    value_at = len(line) - len(val.lstrip(" "))
+    cut = line.find("#", value_at + 1)
+    return line if cut < 0 else line[:cut]
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Flat key = value file (``#`` starts a comment) plus overrides."""
+    """Flat key = value file (comments as ``_strip_comment`` reads them) plus overrides."""
     values: dict = {}
     if path:
         for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0]
+            line = _strip_comment(raw)
             if line.strip():
                 key, val = _parse_setting(line, f"{path}:{line_no}: ")
                 values[key] = val

@@ -210,10 +210,10 @@ def grid_mass(q: float, beta: float, lo: float, hi: float) -> float:
     outside any practical grid, which matters when fitting densities that
     were renormalized over a finite span.
 
-    ``stdtr`` and ``ndtr`` are the ufuncs behind ``scipy.stats.t.cdf`` and
-    ``norm.cdf``; called directly they give the same bits without the
-    per-call argument handling, which costs far more than the evaluation
-    in the fit loops.
+    ``stdtr`` and ``ndtr`` are the ufuncs that the Student-t and normal
+    distribution objects' ``cdf`` methods end in; called directly they give
+    the same bits without the per-call argument handling, which costs far
+    more than the evaluation in the fit loops.
     """
     if abs(q - 1.0) <= Q_LIMIT_TOL:
         scale = 1.0 / math.sqrt(2.0 * beta)

@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lstsq
+from scipy.ndimage import convolve1d
 from scipy.optimize import brentq, least_squares
-from scipy.signal import savgol_filter
 
 from qdiff._loglog import FitError, loglog_fit
 from qdiff.density import EmpiricalPdf
@@ -124,13 +125,35 @@ class BoundaryFit:
     n_points: int
 
 
+def _savgol_curvature(y: np.ndarray, delta: float) -> np.ndarray:
+    """Cubic Savitzky-Golay second derivative of ``y`` over ``SG_WINDOW`` points.
+
+    The steps, and so the bits, of ``savgol_filter(y, SG_WINDOW, 3, deriv=2,
+    delta=delta)`` in its ``"interp"`` mode: least-squares filter taps
+    convolved over the interior, and a cubic fitted to the first and to the
+    last ``SG_WINDOW`` points for the ``SG_WINDOW // 2`` values at each end.
+    """
+    half = SG_WINDOW // 2
+    powers = np.arange(half, -half - 1, -1.0) ** np.arange(4.0)[:, None]
+    rhs = np.array([0.0, 0.0, 2.0 / delta**2, 0.0])
+    taps = lstsq(powers, rhs, cond=np.finfo(float).eps * SG_WINDOW)[0]
+    curv = convolve1d(y, taps, mode="constant")
+    t = np.arange(SG_WINDOW, dtype=float)
+    head = np.polyder(np.polyfit(t, y[:SG_WINDOW], 3), 2)
+    tail = np.polyder(np.polyfit(t, y[-SG_WINDOW:], 3), 2)
+    curv[:half] = np.polyval(head, t[:half]) / delta**2
+    curv[-half:] = np.polyval(tail, t[-half:]) / delta**2
+    return curv
+
+
 def _side_profile(x: np.ndarray, dens: np.ndarray):
-    """Log-log profile of one side: (log_pos, logp, slope, curv).
+    """Log-log profile of one side: (log_pos, logp, curv).
 
     ``x`` holds positive distances from the peak, increasing, with their
     densities. Linear-grid values falling into the same log cell are
     averaged (the far tail holds many linear points per cell, so this
     suppresses estimator noise); empty cells are filled by interpolation.
+    ``curv`` is the smoothed log-log curvature (``_savgol_curvature``).
     Returns None when the side is too short to filter.
     """
     if x.size < SG_WINDOW + 2:
@@ -148,11 +171,10 @@ def _side_profile(x: np.ndarray, dens: np.ndarray):
     logp[filled] = sums[filled] / counts[filled]
     if not filled.all():
         logp[~filled] = np.interp(centers[~filled], centers[filled], logp[filled])
-    slope = savgol_filter(logp, SG_WINDOW, polyorder=3, deriv=1, delta=ds)
-    curv = savgol_filter(logp, SG_WINDOW, polyorder=3, deriv=2, delta=ds)
+    curv = _savgol_curvature(logp, ds)
     margin = SG_WINDOW // 2 + 1  # filter output unreliable near the ends
     sl = slice(margin, N_LOG_GRID - margin)
-    return centers[sl], logp[sl], slope[sl], curv[sl]
+    return centers[sl], logp[sl], curv[sl]
 
 
 def _innermost_spike(log_pos, curv) -> int | None:
@@ -284,7 +306,7 @@ def bump_boundary(p: EmpiricalPdf) -> tuple[float, float] | None:
         prof = _side_profile(x_side, d_side)
         if prof is None:
             return None
-        log_pos, logp, _, curv = prof
+        log_pos, logp, curv = prof
         spike = _innermost_spike(log_pos, curv)
         if spike is None:
             return None

@@ -234,6 +234,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("delimiter, in_file, extra", [
         pytest.param(";", "delimiter = ;  # semicolon-separated export\n", [], id="semicolon_file"),
+        pytest.param("#", "delimiter = #  # hash-separated export\n", [], id="hash_file"),
         pytest.param("\t", "", ["--set", "delimiter=\t"], id="tab_set"),
     ])
     def test_delimiter_from_config_file_or_set(self, delimiter, in_file, extra, tmp_path, capsys):

@@ -4,11 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from qdiff._loglog import loglog_fit
 from qdiff.density import (
     EmpiricalPdf,
     MomentSeries,
+    _convolve_same,
     kde,
     pdf_height,
     read_pdf_csv,
@@ -21,6 +23,28 @@ from qdiff.qgauss import QParams, ScalingLaw, qgauss_pdf, qgauss_sample, selfsim
 
 def analytic_pdf(func, lo, hi, n=8193, lag=1.0):
     return EmpiricalPdf.from_function(func, np.linspace(lo, hi, n), lag=lag)
+
+
+class TestConvolveSameBits:
+    """kde's convolution gives the bits of ``fftconvolve(mode="same")``."""
+
+    @pytest.mark.parametrize("size", [513, 1000, 4097, 8193])
+    @pytest.mark.parametrize("radius", ["one", "short", "half", "longest"])
+    def test_equals_fftconvolve(self, size, radius):
+        rng = np.random.default_rng(size)
+        pos = rng.standard_t(1.5, 20_000) * size / 40.0 + size / 2.0
+        pos = pos[(pos >= 0.0) & (pos < size - 1)]
+        i0 = pos.astype(np.int64)
+        counts = np.bincount(i0, weights=1.0 - (pos - i0), minlength=size)
+        counts += np.bincount(i0 + 1, weights=pos - i0, minlength=size)
+        # "longest" is kde's largest kernel, 2 * size - 1 taps: longer than the grid.
+        r = {"one": 1, "short": 37, "half": size // 2, "longest": size - 1}[radius]
+        offsets = np.arange(-r, r + 1) / 11.0
+        kernel = np.exp(-0.5 * offsets**2) / np.sqrt(2.0 * np.pi)
+        got = _convolve_same(counts, kernel)
+        want = fftconvolve(counts, kernel, mode="same")
+        assert got.shape == want.shape == (size,)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestKde:

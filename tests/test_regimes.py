@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import savgol_filter
 
 from conftest import mixture_crossing
 from qdiff.density import EmpiricalPdf, kde, pdf_height
 from qdiff.ingest import lag_ladder
 from qdiff.qgauss import QParams, ScalingLaw, qgauss_pdf, qgauss_sample, selfsim_height, selfsim_sample
 from qdiff.regimes import (
+    N_LOG_GRID,
+    SG_WINDOW,
     FitError,
     PowerLawFit,
     RegimePartition,
+    _savgol_curvature,
     bump_boundary,
     detect_bump_end,
     fit_boundary_curve,
@@ -26,6 +30,22 @@ WIDE = QParams(1.71, 1.0)
 
 def mixture_density(w=0.5, p1=BUMP, p2=WIDE):
     return lambda x: w * qgauss_pdf(x, p1) + (1.0 - w) * qgauss_pdf(x, p2)
+
+
+class TestSavgolCurvatureBits:
+    """The detector's curvature gives the bits of scipy's ``savgol_filter``."""
+
+    @pytest.mark.parametrize("density", [mixture_density(), mixture_density(w=0.0)],
+                             ids=["bump", "no_bump"])
+    def test_equals_savgol_filter(self, density):
+        s = np.linspace(math.log(1e-4), math.log(30.0), N_LOG_GRID)
+        ds = s[1] - s[0]
+        noise = 1e-3 * np.random.default_rng(5).standard_normal(N_LOG_GRID)
+        logp = np.log(density(np.exp(s))) + noise
+        got = _savgol_curvature(logp, ds)
+        want = savgol_filter(logp, SG_WINDOW, polyorder=3, deriv=2, delta=ds)
+        # Edges included: the first and last SG_WINDOW // 2 values come from the end fits.
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestBumpBoundary:
