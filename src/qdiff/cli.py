@@ -396,6 +396,12 @@ def _stage_lag_fits(cfg, out, state, record):
     clp.write_lag_fits_json(fits, path)
     record("lag_fits", path)
     state["lag_fits"] = fits
+    # how each solve went; not in lag_fits.json, whose sha256 the manifest holds
+    state["report"]["lag_fits"] = [
+        {"lag": f.lag, "nfev": f.nfev, "status": f.status, "start_q": f.start_q,
+         "at_boundary": f.at_boundary}
+        for f in fits
+    ]
 
 
 def _stage_collapse(cfg, out, state, record):

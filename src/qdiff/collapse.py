@@ -2,7 +2,8 @@
 
 Fits are least squares in log-density space (balances tails and center on
 the log-scale plots the results are judged on) over grid points whose
-density exceeds a floor, with a multi-start over q to escape the q/beta
+density exceeds a floor. Each fit evaluates its residual at a grid of q
+starts and runs one solve from the best, which starts it past the q/beta
 trade-off valley. The gradient in (q, log beta) is analytic for the log
 density and a central difference for the log window mass.
 """
@@ -41,7 +42,9 @@ __all__ = [
     "lag_fit_payload",
 ]
 
-MULTISTART_Q = (1.2, 1.7, 2.2, 2.7)
+# q of the starts each fit screens
+SCREEN_Q = (1.05, 1.15, 1.25, 1.35, 1.45, 1.55, 1.65, 1.75, 1.85, 1.95,
+            2.05, 2.15, 2.25, 2.35, 2.45, 2.55, 2.65, 2.75, 2.85, 2.95)
 MAX_ITER = 500
 DENSITY_FLOOR = 1e-6  # relative to the peak; below this points carry no weight
 FIT_FLOOR_COUNTS = 50.0  # kernel counts below which a KDE grid point is not fitted
@@ -53,7 +56,10 @@ class LagFit:
 
     ``grid_mass`` is the mass of the fitted density inside the estimation
     grid; collapse routines use it to undo the truncation renormalization
-    before pooling lags estimated over different spans.
+    before pooling lags estimated over different spans. ``nfev``,
+    ``status`` and ``start_q`` describe the solve (function evaluations,
+    the least-squares status, the screen q it started from); they go to
+    the run report, not to ``lag_fits.json``.
     """
 
     lag: float
@@ -64,6 +70,9 @@ class LagFit:
     beta_err: float = 0.0
     at_boundary: bool = False
     grid_mass: float = 1.0
+    nfev: int = 0
+    status: int = 0
+    start_q: float = math.nan
 
     def __post_init__(self) -> None:
         if self.fit_residual < 0.0:
@@ -98,11 +107,15 @@ def _fit_log_density(
     x: np.ndarray,
     log_dens: np.ndarray,
     *,
-    fix_beta_one: bool,
-    beta_starts: tuple[float, ...] | None = None,
+    x_half: float | None = None,
     span: tuple[float, float] | None = None,
-) -> tuple[float, float, float, np.ndarray, bool]:
-    """Shared optimizer: returns (q, log_beta, rms, stderr, converged).
+) -> tuple:
+    """Shared optimizer: returns (least-squares result, rms, stderr, start q).
+
+    One solve runs from the ``SCREEN_Q`` start with the smallest sum of
+    squares. With ``x_half`` the inverse width is fitted too, and each
+    screen q takes the beta that puts half the peak at ``x_half``;
+    without it beta is pinned at 1.
 
     When ``span`` is given, the model is the q-Gaussian conditioned on
     that window (density renormalized over it), matching estimates built
@@ -128,7 +141,7 @@ def _fit_log_density(
                - _log_grid_mass(q, log_beta - hs, span)) / (2.0 * hs)
         return d_q, d_s
 
-    n_par = 1 if fix_beta_one else 2
+    n_par = 1 if x_half is None else 2
 
     def unpack(theta):
         return theta[0], (theta[1] if n_par == 2 else 0.0)
@@ -143,50 +156,42 @@ def _fit_log_density(
         j -= np.asarray(mass_grad(q, log_beta))[:n_par]
         return j
 
-    bounds = ([Q_FIT_BOUNDS[0], -60.0][:n_par], [Q_FIT_BOUNDS[1], 60.0][:n_par])
-    starts = [
-        np.array([q0, math.log(b0)][:n_par])
-        for q0 in MULTISTART_Q
-        for b0 in beta_starts or (1.0,)
-    ]
+    def screen_start(q0):
+        if x_half is None:
+            return np.array([q0])
+        return np.array([q0, math.log((2.0 ** (q0 - 1.0) - 1.0) / ((q0 - 1.0) * x_half**2))])
 
-    best = None
-    for theta0 in starts:
-        sol = least_squares(
-            resid, theta0, jac=jac, bounds=bounds, method="trf", max_nfev=MAX_ITER
-        )
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None or not np.all(np.isfinite(best.x)):
+    starts = [screen_start(q0) for q0 in SCREEN_Q]
+    costs = [np.sum(resid(theta) ** 2) for theta in starts]
+    theta0 = starts[int(np.argmin(costs))]
+    bounds = ([Q_FIT_BOUNDS[0], -60.0][:n_par], [Q_FIT_BOUNDS[1], 60.0][:n_par])
+    sol = least_squares(
+        resid, theta0, jac=jac, bounds=bounds, method="trf", max_nfev=MAX_ITER
+    )
+    if not np.all(np.isfinite(sol.x)):
         raise FitError("q-Gaussian fit did not produce a finite solution")
-    rms = math.sqrt(2.0 * best.cost / x.size)
-    dof = max(x.size - best.x.size, 1)
-    jtj = best.jac.T @ best.jac
+    rms = math.sqrt(2.0 * sol.cost / x.size)
+    dof = max(x.size - sol.x.size, 1)
+    jtj = sol.jac.T @ sol.jac
     try:
-        cov = np.linalg.inv(jtj) * (2.0 * best.cost / dof)
+        cov = np.linalg.inv(jtj) * (2.0 * sol.cost / dof)
         stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
-        stderr = np.full(best.x.size, math.nan)
-    q_hat = float(best.x[0])
-    log_beta_hat = float(unpack(best.x)[1])
-    converged = bool(best.status > 0)
-    return q_hat, log_beta_hat, rms, stderr, converged
+        stderr = np.full(sol.x.size, math.nan)
+    return sol, rms, stderr, float(theta0[0])
 
 
-def _beta_start_from_halfwidth(x: np.ndarray, log_dens: np.ndarray) -> tuple[float, ...]:
-    """Initial inverse-widths from the half-maximum point of the data."""
+def _halfwidth(x: np.ndarray, log_dens: np.ndarray) -> float:
+    """The smallest |x| > 0 where the data fall to half their peak, else
+    the largest |x|."""
     peak = np.max(log_dens)
     ax = np.abs(x)
     # Only x != 0 can set a width: a grid point at 0 lies below half the
     # peak when the density is bimodal.
     below = ax[(log_dens <= peak - math.log(2.0)) & (ax > 0.0)]
     if below.size == 0:
-        return (1.0 / max(np.max(ax), 1e-12) ** 2,)
-    x_half = float(np.min(below))
-    starts = []
-    for q0 in (1.2, 2.2):
-        starts.append((2.0 ** (q0 - 1.0) - 1.0) / ((q0 - 1.0) * x_half**2))
-    return tuple(starts)
+        return max(float(np.max(ax)), 1e-12)
+    return float(np.min(below))
 
 
 def fit_qgauss(p: EmpiricalPdf, restriction: tuple[float, float] | None = None) -> LagFit:
@@ -201,6 +206,9 @@ def fit_qgauss(p: EmpiricalPdf, restriction: tuple[float, float] | None = None) 
     model is conditioned on the estimate's own grid span, since the
     estimate integrates to one there no matter how much tail mass lies
     beyond.
+    One least-squares solve starts from the best of the ``SCREEN_Q``
+    starts, each with the beta that puts half the peak at the data's
+    half-width.
     Fits that end on the q-domain boundary are flagged, not rejected; an
     exact Gaussian legitimately fits at the lower edge.
     """
@@ -221,25 +229,26 @@ def fit_qgauss(p: EmpiricalPdf, restriction: tuple[float, float] | None = None) 
     if x.size < 10:
         raise FitError(f"need >= 10 usable grid points, got {x.size}")
     log_dens = np.log(dens)
-    q_hat, log_beta, rms, stderr, converged = _fit_log_density(
-        x, log_dens, fix_beta_one=False,
-        beta_starts=_beta_start_from_halfwidth(x, log_dens),
-        span=span,
+    sol, rms, stderr, start_q = _fit_log_density(
+        x, log_dens, x_half=_halfwidth(x, log_dens), span=span
     )
-    if not converged:
+    if sol.status <= 0:
         raise FitError("q-Gaussian fit did not converge within the iteration cap")
-    beta_hat = math.exp(log_beta)
+    q_hat = float(sol.x[0])
+    beta_hat = math.exp(sol.x[1])
     at_edge = (q_hat - Q_FIT_BOUNDS[0] < 5e-6) or (Q_FIT_BOUNDS[1] - q_hat < 5e-6)
-    params = QParams(q=q_hat, beta=beta_hat)
     return LagFit(
         lag=p.lag,
-        params=params,
+        params=QParams(q=q_hat, beta=beta_hat),
         fit_residual=rms,
         n_samples=p.n_samples,
         q_err=float(stderr[0]),
-        beta_err=float(beta_hat * stderr[1]) if stderr.size > 1 else 0.0,
+        beta_err=float(beta_hat * stderr[1]),
         at_boundary=at_edge,
         grid_mass=grid_mass(q_hat, beta_hat, span[0], span[1]),
+        nfev=int(sol.nfev),
+        status=int(sol.status),
+        start_q=start_q,
     )
 
 
@@ -354,13 +363,11 @@ def fit_collapsed(points: np.ndarray, scaling: ScalingLaw, zone: str = "C") -> C
     x, dens = x[keep], dens[keep]
     if x.size < 50:
         raise FitError(f"need >= 50 usable pooled points, got {x.size}")
-    q_hat, log_beta, rms, stderr, converged = _fit_log_density(
-        x, np.log(dens), fix_beta_one=True
-    )
-    if not converged:
+    sol, rms, stderr, _ = _fit_log_density(x, np.log(dens))
+    if sol.status <= 0:
         raise FitError("collapsed fit did not converge within the iteration cap")
     return CollapseResult(
-        q=q_hat,
+        q=float(sol.x[0]),
         scaling=scaling,
         collapse_residual=rms,
         zone=zone,

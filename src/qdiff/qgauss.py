@@ -40,7 +40,6 @@ __all__ = [
     "qgauss_logpdf",
     "qgauss_pdf",
     "qgauss_sample",
-    "qgauss_variance",
     "rescale_exponent",
     "selfsim_height",
     "selfsim_pdf",
@@ -187,16 +186,50 @@ def log_qgauss(x2, q: float, log_beta: float):
     return 0.5 * log_beta - log_c_q(q) - np.log1p(qm1 * beta * x2) / qm1
 
 
+# d log C_q/dq as a power series in q - 1, highest power first, from the
+# large-z expansion of log Gamma(z - 1/2) - log Gamma(z) at z = 1/(q - 1);
+# used below _DLOGCQ_SERIES_MAX, where the digamma difference cancels to
+# its limit 3/8.
+_DLOGCQ_SERIES = (0.000244140625, 0.04266357421875, 0.0009765625, -0.01318359375,
+                  0.00390625, 0.01611328125, 0.015625, 0.0234375, 0.0625,
+                  0.140625, 0.25, 0.375)
+_DLOGCQ_SERIES_MAX = 0.05
+# Below this v = u / (1 + u) the tail term is summed as a series in v,
+# with coefficients 1/(k + 2), highest power first.
+_TAIL_SERIES_MAX = 0.01
+_TAIL_SERIES = (1 / 9, 1 / 8, 1 / 7, 1 / 6, 1 / 5, 1 / 4, 1 / 3, 1 / 2)
+
+
+def _dlog_c_q(q: float) -> float:
+    """d log C_q/dq for 1 < q < 3."""
+    qm1 = q - 1.0
+    if qm1 < _DLOGCQ_SERIES_MAX:
+        return float(np.polyval(_DLOGCQ_SERIES, qm1))
+    z1 = (3.0 - q) / (2.0 * qm1)
+    return -0.5 / qm1 + (digamma(1.0 / qm1) - digamma(z1)) / (qm1 * qm1)
+
+
 def log_qgauss_jac(x2: np.ndarray, q: float, log_beta: float) -> np.ndarray:
-    """Columns: d/dq and d/dlog(beta) of the log density."""
+    """Columns: d/dq and d/dlog(beta) of the log density.
+
+    With u = (q - 1) beta x^2, d/dq is -d log C_q/dq plus the tail term
+    log1p(u)/(q - 1)^2 - beta x^2/((q - 1)(1 + u)). Both parts cancel
+    to leading order as q -> 1 or u -> 0, so near there each is a series
+    that keeps full precision: d log C_q/dq in powers of q - 1, and the
+    tail term as frac^2 sum_k v^k/(k + 2) with frac = beta x^2/(1 + u)
+    and v = u/(1 + u).
+    """
     beta = math.exp(log_beta)
     qm1 = q - 1.0
     u = qm1 * beta * x2
     frac = beta * x2 / (1.0 + u)
-    z1 = (3.0 - q) / (2.0 * qm1)
-    z2 = 1.0 / qm1
-    dlogcq = -0.5 / qm1 + (digamma(z2) - digamma(z1)) / (qm1 * qm1)
-    d_q = -dlogcq + np.log1p(u) / (qm1 * qm1) - frac / qm1
+    v = qm1 * frac
+    tail = np.where(
+        v < _TAIL_SERIES_MAX,
+        frac * frac * np.polyval(_TAIL_SERIES, v),
+        np.log1p(u) / (qm1 * qm1) - frac / qm1,
+    )
+    d_q = tail - _dlog_c_q(q)
     d_s = 0.5 - frac
     return np.column_stack([d_q, d_s])
 
@@ -241,15 +274,6 @@ def qgauss_pdf(x, p: QParams):
     """
     out = np.exp(qgauss_logpdf(np.asarray(x, dtype=float), p))
     return out if out.ndim else float(out)
-
-
-def qgauss_variance(p: QParams) -> float:
-    """Variance 1/(beta (5 - 3q)) for q < 5/3; infinite for q >= 5/3."""
-    if p.is_gaussian:
-        return 1.0 / (2.0 * p.beta)
-    if p.q >= 5.0 / 3.0:
-        return math.inf
-    return 1.0 / (p.beta * (5.0 - 3.0 * p.q))
 
 
 def qgauss_sample(p: QParams, n: int, seed) -> np.ndarray:

@@ -123,6 +123,19 @@ class TestPipeline:
         manifest = json.loads((small_run / "manifest.json").read_text())
         assert "run_report.json" not in {a["path"] for a in manifest["artifacts"]}
 
+    def test_run_report_describes_every_lag_fit(self, small_run):
+        report = json.loads((small_run / "run_report.json").read_text())["lag_fits"]
+        rows = json.loads((small_run / "lag_fits.json").read_text())
+        assert [r["lag"] for r in report] == [r["lag"] for r in rows]
+        for entry, row in zip(report, rows):
+            assert set(entry) == {"lag", "nfev", "status", "start_q", "at_boundary"}
+            assert entry["nfev"] > 0 and entry["status"] > 0
+            assert 1.0 < entry["start_q"] < 3.0
+            assert entry["at_boundary"] == row["at_boundary"]
+            assert not {"nfev", "status", "start_q"} & set(row)
+        manifest = json.loads((small_run / "manifest.json").read_text())
+        assert "run_report.json" not in {a["path"] for a in manifest["artifacts"]}
+
     def test_run_report_says_why_the_strong_regime_is_missing(self, small_run):
         regimes = json.loads((small_run / "run_report.json").read_text())["regimes"]
         partition = json.loads((small_run / "partition.json").read_text())

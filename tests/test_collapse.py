@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.optimize import least_squares
 
+from qdiff import collapse
+from qdiff.cli import BANDWIDTH_SCALE, CORE_SPAN_SCALES, cmd_synth
 from qdiff.collapse import (
     CollapseResult,
     FitError,
@@ -15,7 +18,7 @@ from qdiff.collapse import (
     fit_qgauss,
     grid_mass,
 )
-from qdiff.density import EmpiricalPdf, kde
+from qdiff.density import DEFAULT_GRID_POINTS, EmpiricalPdf, kde
 from qdiff.qgauss import QParams, ScalingLaw, qgauss_pdf, qgauss_sample, selfsim_pdf
 
 
@@ -276,3 +279,87 @@ class TestBimodalStart:
         except FitError:
             return
         assert math.isfinite(fit.params.q) and fit.params.beta > 0.0
+
+
+def pipeline_kde(x) -> EmpiricalPdf:
+    """A core pdf as the pipeline estimates it: bandwidth and span from the
+    25% quantile of |x|."""
+    scale = float(np.quantile(np.abs(x), 0.25))
+    span = CORE_SPAN_SCALES * scale
+    return kde(x, bandwidth=BANDWIDTH_SCALE * scale, grid=(-span, span, DEFAULT_GRID_POINTS))
+
+
+def mixture_lag_pdf(tmp_path) -> EmpiricalPdf:
+    """Lag 3 of the two-regime ``synth --mode mixture`` family."""
+    cmd_synth(tmp_path, q=1.71, alpha=1.79, d_coef=0.1118, lags=[3.0], n_per_lag=10**5,
+              seed=7, mode="mixture")
+    return pipeline_kde(np.load(tmp_path / "lag_000003.npy"))
+
+
+FIT_PDFS = {
+    "kde-q1.71": lambda tmp_path: pipeline_kde(qgauss_sample(QParams(1.71, 2.0), 10**5, seed=31)),
+    "kde-q2.73": lambda tmp_path: pipeline_kde(qgauss_sample(QParams(2.73, 50.0), 10**5, seed=32)),
+    "mixture-lag": mixture_lag_pdf,
+    "exact-gaussian": lambda tmp_path: analytic_pdf(QParams.gaussian(1.0), span=8.0),
+}
+
+
+def eight_start_reference(fun, jac, bounds, x_half) -> list:
+    """The multistart the screen replaced: q in (1.2, 1.7, 2.2, 2.7) crossed
+    with two inverse widths that put half the peak at ``x_half`` for
+    q = 1.2 and 2.2, one solve from each; it kept the lowest cost."""
+    sols = []
+    for q0 in (1.2, 1.7, 2.2, 2.7):
+        for qb in (1.2, 2.2):
+            b0 = (2.0 ** (qb - 1.0) - 1.0) / ((qb - 1.0) * x_half**2)
+            sols.append(least_squares(fun, np.array([q0, math.log(b0)]), jac=jac,
+                                      bounds=bounds, method="trf", max_nfev=collapse.MAX_ITER))
+    return sols
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """Every least-squares call the fits make, with its arguments and result."""
+    calls = []
+
+    def recording(fun, x0, **kwargs):
+        sol = least_squares(fun, x0, **kwargs)
+        calls.append((fun, kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(collapse, "least_squares", recording)
+    return calls
+
+
+class TestOneSolvePerFit:
+    def test_a_lag_fit_and_a_master_fit_each_solve_once(self, solves):
+        fit_qgauss(analytic_pdf(QParams(1.71, 2.5), span=40.0))
+        assert len(solves) == 1
+        law = ScalingLaw(alpha=1.79, d_coef=0.1118)
+        fit_collapsed(collapse_pdfs(selfsim_family(1.71, law, [1.0, 10.0, 100.0]), law), law)
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("name", list(FIT_PDFS))
+    def test_the_solve_matches_the_eight_start_search(self, name, solves, monkeypatch, tmp_path):
+        pdf = FIT_PDFS[name](tmp_path)
+        halfwidth, halfwidths = collapse._halfwidth, []
+
+        def recording_halfwidth(x, log_dens):
+            halfwidths.append(halfwidth(x, log_dens))
+            return halfwidths[-1]
+
+        monkeypatch.setattr(collapse, "_halfwidth", recording_halfwidth)
+        fit = fit_qgauss(pdf)
+        (fun, kwargs, sol), = solves
+        refs = eight_start_reference(fun, kwargs["jac"], kwargs["bounds"], halfwidths[0])
+        best = min(refs, key=lambda r: r.cost)
+        # the eight solves stop on ftol and scatter along the flat q/beta
+        # valley (by 9e-6 in q on the mixture lag); q must land within 1e-6
+        # of the best one or inside that scatter
+        ref_q = [float(r.x[0]) for r in refs]
+        q = fit.params.q
+        assert abs(q - best.x[0]) <= 1e-6 or min(ref_q) <= q <= max(ref_q)
+        n = sol.fun.size
+        rms = math.sqrt(2.0 * sol.cost / n)
+        assert fit.fit_residual == rms
+        assert rms <= math.sqrt(2.0 * best.cost / n) * (1.0 + 1e-9)

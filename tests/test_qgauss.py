@@ -18,7 +18,6 @@ from qdiff.qgauss import (
     qgauss_logpdf,
     qgauss_pdf,
     qgauss_sample,
-    qgauss_variance,
     rescale_exponent,
     selfsim_height,
     selfsim_pdf,
@@ -116,12 +115,6 @@ class TestDensity:
         gauss = np.sqrt(beta / np.pi) * np.exp(-beta * x * x)
         assert np.max(np.abs(qgauss_pdf(x, p) - gauss)) < 1e-6
 
-    def test_variance_formula(self):
-        # 1/(beta (5 - 3 q)): q = 1.5 -> 1/(2 * 0.5)
-        assert qgauss_variance(QParams(1.5, 2.0)) == pytest.approx(1.0 / (2.0 * 0.5), rel=1e-12)
-        assert math.isinf(qgauss_variance(QParams(1.7, 1.0)))
-        assert qgauss_variance(QParams.gaussian(0.5)) == pytest.approx(1.0)
-
 
 class TestLogDensityCore:
     @pytest.mark.parametrize("q", [1.2, 1.71, 2.5, 2.9])
@@ -135,6 +128,44 @@ class TestLogDensityCore:
         assert jac.shape == (x2.size, 2)
         np.testing.assert_allclose(jac[:, 0], fd_q, rtol=1e-6, atol=1e-6)
         np.testing.assert_allclose(jac[:, 1], fd_s, rtol=1e-6, atol=1e-6)
+
+    # d/dq of the log density at log_beta = 0, q = 1 + eps (the double),
+    # to 40 digits. Generated with mpmath at mp.dps = 60:
+    #   f = lambda q: -(0.5*log(pi/(q-1)) + loggamma((3-q)/(2*(q-1)))
+    #                   - loggamma(1/(q-1))) - log1p((q-1)*x2)/(q-1)
+    #   diff(f, mpf(1.0 + eps))
+    @pytest.mark.parametrize("eps,x2,want", [
+        (1e-6, 1e-6, "-0.375000249999640604495818066065987795506"),
+        (1e-6, 1.0, "0.1249990833339427828818186650885318512809"),
+        (1e-6, 1e4, "49340753.7832352380151894393626352934151"),
+        (1e-4, 1e-6, "-0.3750250014058124995903100588801433172948"),
+        (1e-4, 1.0, "0.1249083394262209244084759094503767618454"),
+        (1e-4, 1e4, "19314717.68097103060141810408467571585237"),
+        (1e-2, 1e-6, "-0.3775141252354536532790537882982853111926"),
+        (1e-2, 1.0, "0.1158934163458649221010242110330307807332"),
+        (1e-2, 1e4, "36249.83755527740187855019212273379258946"),
+        (0.3, 1e-6, "-0.4645835085365892884988976743353914038877"),
+        (0.3, 1.0, "-0.1135275785564194956993629178609737676991"),
+        (0.3, 1e4, "77.39135057701415633135435872417595478683"),
+    ])
+    def test_dq_column_matches_high_precision_reference(self, eps, x2, want):
+        got = log_qgauss_jac(np.array([x2]), 1.0 + eps, 0.0)[0, 0]
+        assert got == pytest.approx(float(want), rel=1e-9)
+
+    @pytest.mark.parametrize("x2", [1e-6, 1.0, 1e4])
+    def test_dq_column_is_continuous_where_log_c_q_switches(self, x2):
+        # below q - 1 = 0.05 d log C_q/dq is a power series in q - 1
+        x2 = np.array([x2])
+        lo = log_qgauss_jac(x2, 1.05 - 1e-13, 0.0)[0, 0]
+        hi = log_qgauss_jac(x2, 1.05 + 1e-13, 0.0)[0, 0]
+        assert hi == pytest.approx(lo, rel=1e-11)
+
+    @pytest.mark.parametrize("q", [1.0 + 1e-6, 1.05, 1.3, 2.5])
+    def test_dq_column_is_continuous_where_the_tail_switches(self, q):
+        # below v = u/(1 + u) = 0.01 the tail term is a series in v
+        x2 = np.array([1.0 - 1e-12, 1.0 + 1e-12]) * (0.01 / 0.99) / (q - 1.0)
+        lo, hi = log_qgauss_jac(x2, q, 0.0)[:, 0]
+        assert hi == pytest.approx(lo, rel=1e-11)
 
     @pytest.mark.parametrize("q", [1.0 + 1e-6, 1.26, 1.71, 2.2, 2.73, 3.0 - 1e-6])
     @pytest.mark.parametrize("beta", [1e-4, 0.3, 1.0, 4793.0, 1e6])
