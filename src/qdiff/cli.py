@@ -189,7 +189,9 @@ def _read_samples(path: Path) -> ing.ReturnEnsemble:
 def _lag_scale(x: np.ndarray) -> float:
     """A lag's one length scale: the 25% quantile of |x|, else the
     standard deviation, else 1.0. The adaptive bandwidth, the core grid
-    span and the moment window are multiples of it."""
+    span and the moment window are multiples of it. The core grid is the
+    lag's one KDE grid; the second moment is sum(x^2) / n over the samples
+    with |x| <= 4000 scales, with no grid clip."""
     return float(np.quantile(np.abs(x), 0.25)) or float(np.std(x)) or 1.0
 
 
@@ -283,21 +285,18 @@ def _stage_ensembles(cfg, out, state, record):
 def _stage_pdfs(cfg, out, state, record):
     pdf_dir = out / "pdfs"
     pdf_dir.mkdir(exist_ok=True)
-    core_pdfs, wide_pdfs, scales = [], [], []
+    core_pdfs, scales = [], []
     for ens in state["ensembles"]:
         scale = _lag_scale(ens.returns)
         scales.append(scale)
         h = cfg.bandwidth or BANDWIDTH_SCALE * scale
         span = CORE_SPAN_SCALES * scale
         core = dns.kde(ens, bandwidth=h, grid=(-span, span, cfg.grid_points))
-        wide = dns.kde(ens, bandwidth=h, grid=cfg.grid_points)
         core_pdfs.append(core)
-        wide_pdfs.append(wide)
         path = pdf_dir / f"pdf_{int(round(ens.lag)):06d}.npy"
         dns.write_pdf_csv(core, path)
         record("pdfs", path)
     state["core_pdfs"] = core_pdfs
-    state["wide_pdfs"] = wide_pdfs
     state["scales"] = scales
 
 
@@ -311,17 +310,12 @@ def _stage_series(cfg, out, state, record):
     record("series", hpath)
     state["heights"] = heights
 
-    lags, moments, windows = [], [], []
-    for p, scale in zip(state["wide_pdfs"], state["scales"]):
-        window = min(MOMENT_WINDOW_SCALES * scale,
-                     0.999 * min(-p.grid[0], p.grid[-1]))
-        lags.append(p.lag)
-        moments.append(dns.second_moment(p, window))
-        windows.append(window)
-    series = dns.MomentSeries(lags=np.array(lags), second_moment=np.array(moments),
-                              window=np.array(windows))
+    moments = []
+    for ens, scale in zip(state["ensembles"], state["scales"]):
+        window = MOMENT_WINDOW_SCALES * scale
+        moments.append((ens.lag, dns.second_moment(ens.returns, window), window))
     mpath = out / "moments.csv"
-    dns.write_moment_csv(series, mpath)
+    dns.write_moment_csv(moments, mpath)
     record("series", mpath)
 
 

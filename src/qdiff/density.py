@@ -20,13 +20,11 @@ from qdiff.io import read_array, read_sidecar, write_array, write_table
 
 __all__ = [
     "EmpiricalPdf",
-    "MomentSeries",
     "kde",
     "pdf_height",
     "second_moment",
 ]
 
-DEFAULT_BANDWIDTH = 0.005  # in the x-units of the ingested returns
 DEFAULT_GRID_POINTS = 2**13 + 1
 
 
@@ -70,29 +68,6 @@ class EmpiricalPdf:
         return float(self.grid[1] - self.grid[0])
 
 
-def _resolve_grid(x: np.ndarray, bandwidth: float, grid) -> np.ndarray:
-    if grid is None or isinstance(grid, int):
-        n = DEFAULT_GRID_POINTS if grid is None else int(grid)
-        half = max(10.0 * float(np.std(x)), float(np.max(np.abs(x))))
-        if half <= 0.0:
-            half = 10.0 * bandwidth  # degenerate sample sets (all identical)
-        return np.linspace(-half, half, n)
-    if isinstance(grid, tuple):
-        if len(grid) == 2:
-            lo, hi = grid
-            n = DEFAULT_GRID_POINTS
-        else:
-            lo, hi, n = grid
-        return np.linspace(float(lo), float(hi), int(n))
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size < 3:
-        raise ValueError("explicit grid must be a 1-d array with >= 3 points")
-    steps = np.diff(g)
-    if np.any(steps <= 0) or np.ptp(steps) > 1e-9 * steps[0]:
-        raise ValueError("explicit grid must be uniform and increasing")
-    return g
-
-
 def _convolve_same(counts: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Linear convolution of ``counts`` with ``kernel``, centered to ``counts.size``."""
     full = counts.size + kernel.size - 1
@@ -101,15 +76,12 @@ def _convolve_same(counts: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return out[(full - counts.size) // 2:][:counts.size]
 
 
-def kde(ensemble, bandwidth: float = DEFAULT_BANDWIDTH, grid=None) -> EmpiricalPdf:
+def kde(ensemble, bandwidth: float, grid: tuple[float, float, int]) -> EmpiricalPdf:
     """Gaussian-kernel density estimate of a return ensemble.
 
-    ``ensemble`` is a ReturnEnsemble or a plain sample array. ``grid``
-    selects the evaluation nodes: None for the default symmetric span
-    max(10 * std, max|x|) with 2^13 + 1 points, an int for that span with
-    a custom point count, a (lo, hi[, n]) tuple, or an explicit uniform
-    array. Samples falling outside an explicit grid are dropped and the
-    result is renormalized over the grid.
+    ``ensemble`` is a ReturnEnsemble or a plain sample array. ``grid`` is
+    ``(lo, hi, n)``: n uniform nodes from lo to hi. Samples falling outside
+    the grid are dropped and the result is renormalized over the grid.
     """
     if hasattr(ensemble, "returns"):
         x = np.asarray(ensemble.returns, dtype=float)
@@ -122,7 +94,10 @@ def kde(ensemble, bandwidth: float = DEFAULT_BANDWIDTH, grid=None) -> EmpiricalP
     if not (bandwidth > 0.0 and math.isfinite(bandwidth)):
         raise ValueError(f"bandwidth must be positive, got {bandwidth!r}")
 
-    g = _resolve_grid(x, bandwidth, grid)
+    lo, hi, n = grid
+    if not (lo < hi and n >= 3):
+        raise ValueError(f"grid must be (lo, hi, n) with lo < hi and n >= 3, got {grid!r}")
+    g = np.linspace(float(lo), float(hi), int(n))
     dx = g[1] - g[0]
     inside = x[(x >= g[0]) & (x <= g[-1])]
     if inside.size == 0:
@@ -155,38 +130,15 @@ def pdf_height(p: EmpiricalPdf) -> tuple[float, float]:
     return float(p.grid[idx]), peak
 
 
-def second_moment(p: EmpiricalPdf, window: float) -> float:
-    """Trapezoid integral of x^2 P(x) over [-window, window]."""
-    if window <= 0.0:
+def second_moment(x, window: float) -> float:
+    """Sum of x^2 over the samples with |x| <= window, divided by the
+    number of all samples."""
+    if not window > 0.0:
         raise ValueError(f"window must be positive, got {window!r}")
-    if window > -p.grid[0] + p.dx * 1e-6 or window > p.grid[-1] + p.dx * 1e-6:
-        raise ValueError(
-            f"window {window!r} exceeds the grid extent [{p.grid[0]!r}, {p.grid[-1]!r}]"
-        )
-    mask = np.abs(p.grid) <= window * (1.0 + 1e-12)
-    x = p.grid[mask]
-    return float(np.trapezoid(x * x * p.density[mask], x))
-
-
-@dataclass(frozen=True)
-class MomentSeries:
-    """Truncated second moment of the pdf per lag, with its window."""
-
-    lags: np.ndarray
-    second_moment: np.ndarray
-    window: np.ndarray
-
-    def __post_init__(self) -> None:
-        lags = np.asarray(self.lags, dtype=float)
-        mom = np.asarray(self.second_moment, dtype=float)
-        win = np.asarray(self.window, dtype=float)
-        object.__setattr__(self, "lags", lags)
-        object.__setattr__(self, "second_moment", mom)
-        object.__setattr__(self, "window", win)
-        if not (lags.shape == mom.shape == win.shape):
-            raise ValueError("lags, second_moment and window must have equal length")
-        if np.any(mom < 0.0):
-            raise ValueError("second moments must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    v = x[np.abs(x) <= window]
+    # numpy's pairwise sum, whose bits do not depend on a BLAS thread count
+    return float(np.sum(v * v)) / x.size
 
 
 # --- serialization -----------------------------------------------------
@@ -223,6 +175,6 @@ def read_pdf_csv(path) -> EmpiricalPdf:
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def write_moment_csv(series: MomentSeries, path) -> None:
-    write_table(path, ["lag", "second_moment", "window"],
-                np.column_stack([series.lags, series.second_moment, series.window]))
+def write_moment_csv(rows, path) -> None:
+    """Write (lag, second_moment, window) rows as a CSV table."""
+    write_table(path, ["lag", "second_moment", "window"], rows)

@@ -351,6 +351,14 @@ class TestCriterion10TwoRegimePipeline:
         assert ((out / "collapsed.npy").read_bytes()
                 == (mixture_run / "collapsed_weak.npy").read_bytes())
 
+    def test_second_moment_positive_on_every_lag(self, mixture_run):
+        # the q = 2.73 component puts max|x| near 1e38; the moment must not
+        # depend on a grid spanning it
+        data = np.loadtxt(mixture_run / "moments.csv", delimiter=",", skiprows=1)
+        assert data.shape == (15, 3)
+        bad = data[~(np.isfinite(data[:, 1]) & (data[:, 1] > 0.0)), 0]
+        assert bad.size == 0, f"second moment not finite and positive at lags {bad.tolist()}"
+
     @pytest.mark.xfail(strict=True, reason=(
         "one q-Gaussian per lag cannot describe the bump while the weak component "
         "carries much of its density; needs the joint two-component fit of ROADMAP item 2"))

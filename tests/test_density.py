@@ -9,7 +9,6 @@ from scipy.signal import fftconvolve
 from qdiff._loglog import loglog_fit
 from qdiff.density import (
     EmpiricalPdf,
-    MomentSeries,
     _convolve_same,
     kde,
     pdf_height,
@@ -18,7 +17,14 @@ from qdiff.density import (
     write_pdf_csv,
 )
 from qdiff.ingest import ReturnEnsemble
-from qdiff.qgauss import QParams, ScalingLaw, qgauss_pdf, qgauss_sample, selfsim_pdf
+from qdiff.qgauss import (
+    QParams,
+    ScalingLaw,
+    qgauss_pdf,
+    qgauss_sample,
+    selfsim_pdf,
+    selfsim_sample,
+)
 
 
 def analytic_pdf(func, lo, hi, n=8193, lag=1.0):
@@ -69,7 +75,7 @@ class TestKde:
 
     def test_unit_integral(self):
         for samples in (np.array([0.0]), np.random.default_rng(2).normal(size=2000)):
-            est = kde(samples, bandwidth=0.08)
+            est = kde(samples, bandwidth=0.08, grid=(-6.0, 6.0, 4097))
             assert np.trapezoid(est.density, est.grid) == pytest.approx(1.0, abs=1e-9)
 
     def test_translation_equivariance(self):
@@ -83,16 +89,19 @@ class TestKde:
 
     def test_accepts_return_ensemble(self):
         ens = ReturnEnsemble(lag=5.0, returns=np.random.default_rng(1).normal(size=500))
-        est = kde(ens, bandwidth=0.2)
+        est = kde(ens, bandwidth=0.2, grid=(-6.0, 6.0, 4097))
         assert est.lag == 5.0 and est.n_samples == 500
 
     def test_degenerate_and_invalid(self):
         with pytest.raises(ValueError):
-            kde(np.array([]), bandwidth=0.1)
+            kde(np.array([]), bandwidth=0.1, grid=(-1.0, 1.0, 101))
         with pytest.raises(ValueError):
-            kde(np.array([1.0]), bandwidth=0.0)
+            kde(np.array([1.0]), bandwidth=0.0, grid=(-1.0, 1.0, 101))
         with pytest.raises(ValueError):
             kde(np.array([1.0, 2.0]), bandwidth=0.1, grid=(-10.0, -5.0, 101))
+        for grid in ((1.0, -1.0, 101), (-1.0, 1.0, 2)):
+            with pytest.raises(ValueError, match="grid must be"):
+                kde(np.array([0.0]), bandwidth=0.1, grid=grid)
 
 
 class TestPdfHeight:
@@ -146,39 +155,28 @@ class TestPdfHeight:
 
 
 class TestSecondMoment:
-    def test_gaussian_unit_variance(self):
-        p = QParams.gaussian(0.5)  # variance 1
-        est = analytic_pdf(lambda x: qgauss_pdf(x, p), -12, 12, n=2**14 + 1)
-        assert second_moment(est, 11.9) == pytest.approx(1.0, rel=0.005)
-
-    def test_uniform_density(self):
-        grid = np.linspace(-1, 1, 4097)
-        est = EmpiricalPdf(lag=1.0, grid=grid, density=np.full(grid.size, 0.5),
-                           n_samples=0, bandwidth=0.0)
-        assert second_moment(est, 1.0) == pytest.approx(1.0 / 3.0, abs=1e-6)
+    def test_samples_outside_the_window_count_in_n_only(self):
+        # |x| <= 2.5 keeps -1, 0.5, 2 and 2.5; -3 and 10 count in n = 6 only
+        x = np.array([-3.0, -1.0, 0.5, 2.0, 2.5, 10.0])
+        assert second_moment(x, 2.5) == (1.0 + 0.25 + 4.0 + 6.25) / 6
 
     def test_window_validation(self):
-        grid = np.linspace(-1, 1, 101)
-        est = EmpiricalPdf(lag=1.0, grid=grid, density=np.full(grid.size, 0.5),
-                           n_samples=0, bandwidth=0.0)
-        with pytest.raises(ValueError):
-            second_moment(est, 2.0)
-        with pytest.raises(ValueError):
-            second_moment(est, -1.0)
+        for window in (0.0, -1.0):
+            with pytest.raises(ValueError, match="window must be positive"):
+                second_moment(np.array([1.0, 2.0]), window)
+
+    def test_gaussian_unit_variance(self):
+        x = np.random.default_rng(5).normal(size=10**6)
+        assert second_moment(x, 11.9) == pytest.approx(1.0, rel=0.005)
 
     def test_selfsim_family_moment_slope(self):
-        # windowed moment of the analytic family grows as t^(2/alpha)
+        # windowed moment of samples of the self-similar family grows as t^(2/alpha)
         q, alpha = 1.5, 1.79
         law = ScalingLaw(alpha=alpha, d_coef=0.1118)
         lags = np.geomspace(1, 3000, 10)
-        moments = []
-        for t in lags:
-            w = float(law.width(t))
-            grid = np.linspace(-1100 * w, 1100 * w, 2**15 + 1)
-            est = EmpiricalPdf.from_function(
-                lambda x: selfsim_pdf(x, t, q, law), grid, lag=t
-            )
-            moments.append(second_moment(est, 1000.0 * w))
+        moments = [second_moment(selfsim_sample(q, law, t, 10**5, seed=40 + i),
+                                 1000.0 * float(law.width(t)))
+                   for i, t in enumerate(lags)]
         fit = loglog_fit(lags, np.array(moments))
         assert fit.slope == pytest.approx(2.0 / alpha, rel=0.03)
 
@@ -194,17 +192,9 @@ class TestTypesAndSerialization:
         with pytest.raises(ValueError):
             EmpiricalPdf(lag=1.0, grid=grid[::-1], density=good, n_samples=0, bandwidth=0.0)
 
-    def test_moment_series_validation(self):
-        with pytest.raises(ValueError):
-            MomentSeries(lags=np.array([1.0, 2.0]), second_moment=np.array([1.0]),
-                         window=np.array([1.0, 1.0]))
-        with pytest.raises(ValueError):
-            MomentSeries(lags=np.array([1.0]), second_moment=np.array([-1.0]),
-                         window=np.array([1.0]))
-
     def test_pdf_csv_round_trip(self, tmp_path):
         p = QParams(1.5, 1.0)
-        est = kde(qgauss_sample(p, 5000, seed=8), bandwidth=0.2)
+        est = kde(qgauss_sample(p, 5000, seed=8), bandwidth=0.2, grid=(-50.0, 50.0, 8193))
         est = EmpiricalPdf(lag=17.0, grid=est.grid, density=est.density,
                            n_samples=est.n_samples, bandwidth=est.bandwidth)
         path = tmp_path / "pdf_000017.npy"
@@ -218,7 +208,8 @@ class TestTypesAndSerialization:
 
 
 def stored_pdf():
-    est = kde(qgauss_sample(QParams(1.5, 1.0), 5000, seed=8), bandwidth=0.2)
+    est = kde(qgauss_sample(QParams(1.5, 1.0), 5000, seed=8), bandwidth=0.2,
+              grid=(-50.0, 50.0, 8193))
     return EmpiricalPdf(lag=17.0, grid=est.grid, density=est.density,
                         n_samples=est.n_samples, bandwidth=est.bandwidth)
 
