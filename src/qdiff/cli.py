@@ -81,6 +81,8 @@ class RunConfig:
             raise ValidationError(f"input path does not exist: {src}")
         if not (0 < self.min_lag < self.max_lag):
             raise ValidationError(f"need 0 < min_lag < max_lag, got ({self.min_lag}, {self.max_lag})")
+        if self.grid_points < 3:
+            raise ValidationError(f"grid_points must be >= 3, got {self.grid_points}")
         if self.points_per_decade < 1:
             raise ValidationError("points_per_decade must be >= 1")
         if self.bandwidth < 0:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+import scipy
 
 from qdiff._loglog import FitError, loglog_fit
 from qdiff.density import EmpiricalPdf
@@ -101,6 +101,11 @@ class CollapseResult:
 
 def _log_grid_mass(q: float, log_beta: float, span: tuple[float, float]) -> float:
     return math.log(grid_mass(q, math.exp(log_beta), span[0], span[1]))
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, loaded on the first fit rather than on import."""
+    return scipy.optimize.least_squares(*args, **kwargs)
 
 
 def _fit_log_density(

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
+import scipy
 
 from qdiff.io import read_array, read_sidecar, write_array, write_table
 
@@ -71,8 +71,8 @@ class EmpiricalPdf:
 def _convolve_same(counts: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Linear convolution of ``counts`` with ``kernel``, centered to ``counts.size``."""
     full = counts.size + kernel.size - 1
-    n = fft.next_fast_len(full, True)
-    out = fft.irfft(fft.rfft(counts, n) * fft.rfft(kernel, n), n)
+    n = scipy.fft.next_fast_len(full, True)
+    out = scipy.fft.irfft(scipy.fft.rfft(counts, n) * scipy.fft.rfft(kernel, n), n)
     return out[(full - counts.size) // 2:][:counts.size]
 
 

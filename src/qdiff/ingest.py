@@ -12,6 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -70,9 +71,9 @@ class IndexSeries:
     def __len__(self) -> int:
         return int(self.timestamps.size)
 
-    @property
+    @cached_property
     def interval(self) -> float:
-        """Sampling interval, the median timestamp spacing."""
+        """Sampling interval, the median timestamp spacing, computed once per series."""
         return float(np.median(np.diff(self.timestamps)))
 
     @property

@@ -19,8 +19,7 @@ from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import dgtsv
+import scipy
 
 from qdiff.qgauss import Q_LIMIT_TOL, c_q, rescale_exponent
 
@@ -354,9 +353,9 @@ def _stage_solve(d_face, rhs, a, dx, bc, bdry):
     for arr in (lower, diag, upper, rhs):
         if not np.isfinite(arr).all():
             raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = dgtsv(lower, diag, upper, rhs, True, True, True, True)
+    *_, x, info = scipy.linalg.lapack.dgtsv(lower, diag, upper, rhs, True, True, True, True)
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise scipy.linalg.LinAlgError("singular matrix")
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gtsv")
     return x

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln, ndtr, stdtr
+import scipy
 
 # |q - 1| below this tolerance is evaluated through the analytic
 # Gaussian/exponential limit; the closed forms lose precision there
@@ -161,8 +161,8 @@ def log_c_q(q: float) -> float:
     qm1 = q - 1.0
     return (
         0.5 * (math.log(math.pi) - math.log(qm1))
-        + gammaln((3.0 - q) / (2.0 * qm1))
-        - gammaln(1.0 / qm1)
+        + scipy.special.gammaln((3.0 - q) / (2.0 * qm1))
+        - scipy.special.gammaln(1.0 / qm1)
     )
 
 
@@ -206,7 +206,8 @@ def _dlog_c_q(q: float) -> float:
     if qm1 < _DLOGCQ_SERIES_MAX:
         return float(np.polyval(_DLOGCQ_SERIES, qm1))
     z1 = (3.0 - q) / (2.0 * qm1)
-    return -0.5 / qm1 + (digamma(1.0 / qm1) - digamma(z1)) / (qm1 * qm1)
+    dpsi = scipy.special.digamma(1.0 / qm1) - scipy.special.digamma(z1)
+    return -0.5 / qm1 + dpsi / (qm1 * qm1)
 
 
 def log_qgauss_jac(x2: np.ndarray, q: float, log_beta: float) -> np.ndarray:
@@ -250,10 +251,10 @@ def grid_mass(q: float, beta: float, lo: float, hi: float) -> float:
     """
     if abs(q - 1.0) <= Q_LIMIT_TOL:
         scale = 1.0 / math.sqrt(2.0 * beta)
-        return float(ndtr(hi / scale) - ndtr(lo / scale))
+        return float(scipy.special.ndtr(hi / scale) - scipy.special.ndtr(lo / scale))
     nu = (3.0 - q) / (q - 1.0)
     scale = 1.0 / math.sqrt((3.0 - q) * beta)
-    return float(stdtr(nu, hi / scale) - stdtr(nu, lo / scale))
+    return float(scipy.special.stdtr(nu, hi / scale) - scipy.special.stdtr(nu, lo / scale))
 
 
 def qgauss_logpdf(x, p: QParams):

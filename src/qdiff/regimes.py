@@ -16,9 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lstsq
-from scipy.ndimage import convolve1d
-from scipy.optimize import brentq, least_squares
+import scipy
 
 from qdiff._loglog import FitError, loglog_fit
 from qdiff.density import EmpiricalPdf
@@ -136,8 +134,8 @@ def _savgol_curvature(y: np.ndarray, delta: float) -> np.ndarray:
     half = SG_WINDOW // 2
     powers = np.arange(half, -half - 1, -1.0) ** np.arange(4.0)[:, None]
     rhs = np.array([0.0, 0.0, 2.0 / delta**2, 0.0])
-    taps = lstsq(powers, rhs, cond=np.finfo(float).eps * SG_WINDOW)[0]
-    curv = convolve1d(y, taps, mode="constant")
+    taps = scipy.linalg.lstsq(powers, rhs, cond=np.finfo(float).eps * SG_WINDOW)[0]
+    curv = scipy.ndimage.convolve1d(y, taps, mode="constant")
     t = np.arange(SG_WINDOW, dtype=float)
     head = np.polyder(np.polyfit(t, y[:SG_WINDOW], 3), 2)
     tail = np.polyder(np.polyfit(t, y[-SG_WINDOW:], 3), 2)
@@ -233,8 +231,8 @@ def _two_component_crossing(log_pos, logp, x_spike: float) -> float | None:
             theta0 = [0.0, 0.0, q1_0, math.log(core_factor / x_spike**2),
                       q2_0, math.log(9.0 / x_max**2)]
             try:
-                sol = least_squares(lambda th: model(th) - y, theta0,
-                                    bounds=(lo, hi), max_nfev=2000)
+                sol = scipy.optimize.least_squares(lambda th: model(th) - y, theta0,
+                                                   bounds=(lo, hi), max_nfev=2000)
             except ValueError:
                 continue
             if best is None or sol.cost < best.cost:
@@ -259,7 +257,7 @@ def _two_component_crossing(log_pos, logp, x_spike: float) -> float | None:
     if sign_flip.size == 0:
         return None
     k = sign_flip[0]
-    return float(brentq(imbalance, scan[k], scan[k + 1]))
+    return float(scipy.optimize.brentq(imbalance, scan[k], scan[k + 1]))
 
 
 def bump_boundary(p: EmpiricalPdf) -> tuple[float, float] | None:

@@ -276,6 +276,14 @@ class TestConfig:
                      "--set", "points_per_decade=four"]) == 1
         assert "points_per_decade: expected int, got 'four'" in capsys.readouterr().err
 
+    def test_grid_points_below_3_exits_1_before_any_stage(self, small_ensembles, tmp_path,
+                                                          capsys):
+        out = tmp_path / "run"
+        assert main(["pipeline", "--ensembles", str(small_ensembles), "--out", str(out),
+                     "--set", "max_lag=100", "--set", "grid_points=2"]) == 1
+        assert "grid_points must be >= 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_height_fit_ranges_follow_the_zone_times(self, small_ensembles, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("t_cross_start = 38  # alternate crossover reading\n")
