@@ -174,6 +174,24 @@ class TestPipeline:
         heights = (out / "heights.csv").read_text().splitlines()
         assert len(heights) > 3
 
+    def test_series_input_takes_one_spacing_median(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(12)
+        minutes = np.delete(np.arange(20_040), rng.choice(np.arange(1, 20_039), 40, replace=False))
+        values = 500.0 + np.cumsum(rng.normal(0, 0.05, minutes.size))
+        src = tmp_path / "series.csv"
+        src.write_text("".join(f"{m},{v:.6f}\n" for m, v in zip(minutes, values)))
+        spacing = np.diff(minutes.astype(float))
+        median, calls = np.median, []
+
+        def counting_median(a, *args, **kwargs):
+            calls.append(np.shape(a) == spacing.shape and np.array_equal(a, spacing))
+            return median(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "median", counting_median)
+        cmd_pipeline(RunConfig(input=str(src), out=str(tmp_path / "run"), min_lag=1.0,
+                               max_lag=100.0, points_per_decade=2, detrend_window=2000.0))
+        assert sum(calls) == 1
+
 
 class TestVerifyPme:
     def test_fast_diffusion_report(self):

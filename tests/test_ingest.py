@@ -1,3 +1,4 @@
+import contextlib
 import re
 import tempfile
 import time
@@ -220,9 +221,13 @@ class TestCReaderMatchesRowLoop:
                                   timestamp_column=ts_col, value_column=val_col)
                     assert outcome(path, **kwargs) == row_loop_outcome(path, **kwargs), kwargs
 
-    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
-    def test_compressed_suffix_is_read_as_text(self, tmp_path, suffix):
-        path = write(tmp_path, "0,100\n1,101\n2,103\n", name=f"series.csv{suffix}")
+    # numpy decompresses the last extension when it is one of the first
+    # four, case-sensitively; the last two names are text it reads as text
+    @pytest.mark.parametrize("name", ["series.csv.gz", "series.csv.bz2", "series.csv.xz",
+                                      "series.csv.lzma", "series.csv.GZ", "series.gz.csv"],
+                             ids=lambda name: name.removeprefix("series.csv"))
+    def test_compressed_suffix_is_read_as_text(self, tmp_path, name):
+        path = write(tmp_path, "0,100\n1,101\n2,103\n", name=name)
         assert outcome(path) == row_loop_outcome(path)
         assert len(load_series(path)) == 3
 
@@ -323,6 +328,89 @@ class TestReturnsAtLag:
             rets = returns_at_lag(flat, lag).returns
             sigma = np.std(rets) or 1.0
             assert abs(np.mean(rets)) < 0.02 * sigma
+
+
+def returns_bits(series, lag, policy="overlapping"):
+    """returns_at_lag as bit patterns, or the error it raised."""
+    try:
+        return returns_at_lag(series, lag, policy).returns.view(np.uint64).tolist()
+    except ValueError as exc:
+        return str(exc)
+
+
+@contextlib.contextmanager
+def counting_searches():
+    """Counts the calls returns_at_lag makes to its binary search."""
+    with mock.patch.object(ingest, "_search_pairs", wraps=ingest._search_pairs) as search:
+        yield search
+
+
+POLICIES = ("overlapping", "non-overlapping")
+
+
+class TestReturnLookups:
+    """The slot index and the binary search find the same pairs, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.sampled_from([1, 1, 1, 1, 2, 3, 7]), min_size=1, max_size=40),
+        t0=st.integers(-10**9, 10**9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_integral_minutes_match_the_search(self, steps, t0, seed):
+        # steps of at most 7 keep the index within 8 entries per row
+        ts = t0 + np.concatenate([[0], np.cumsum(steps)]).astype(float)
+        values = np.random.default_rng(seed).normal(1000.0, 5.0, ts.size)
+        whole = IndexSeries(timestamps=ts, values=values)
+        half = IndexSeries(timestamps=ts + 0.5, values=values)  # fractional: no slot index
+        lags = [float(lag) for lag in range(1, int(whole.span) + 1)]
+        with counting_searches() as search:
+            got = [returns_bits(whole, lag, policy) for lag in lags for policy in POLICIES]
+        assert search.call_count == 0
+        with counting_searches() as search:
+            want = [returns_bits(half, lag, policy) for lag in lags for policy in POLICIES]
+        assert search.call_count == len(POLICIES) * sum(lag >= whole.interval for lag in lags)
+        assert got == want
+
+    def test_non_whole_lag_takes_the_search(self):
+        values = np.random.default_rng(3).normal(size=50)
+        half_minutes = IndexSeries.from_values(values, dt=0.5)
+        minutes = IndexSeries.from_values(values)
+        assert minutes._slot_index is not None
+        with counting_searches() as search:
+            assert returns_bits(half_minutes, 1.5) == (values[3:] - values[:-3]).view(np.uint64).tolist()
+            assert returns_bits(minutes, 2.5) == "no contiguous in-session pairs at lag 2.5"
+        assert search.call_count == 2
+
+    def test_epoch_seconds_take_the_search(self):
+        values = np.random.default_rng(4).normal(size=400)
+        minutes = 28_000_000 + np.arange(400.0)
+        minutes[200:] += 1050  # an overnight gap
+        by_minute = IndexSeries(timestamps=minutes, values=values)
+        by_second = IndexSeries(timestamps=60.0 * minutes, values=values)  # 60 entries per row
+        assert by_second._slot_index is None
+        lags = [(lag, policy) for lag in (1, 7, 150, 1100) for policy in POLICIES]
+        with counting_searches() as search:
+            got = [returns_bits(by_second, 60.0 * lag, policy) for lag, policy in lags]
+        assert search.call_count == len(lags)
+        assert got == [returns_bits(by_minute, float(lag), policy) for lag, policy in lags]
+        assert got[-2] != "no contiguous in-session pairs at lag 66000.0"
+
+    def test_index_bound_is_8_entries_per_row(self):
+        def slot_index(last):  # 3 rows, an index of last + 1 entries
+            return IndexSeries(timestamps=[0.0, 1.0, last], values=np.zeros(3))._slot_index
+
+        offsets, index = slot_index(23.0)
+        assert offsets.tolist() == [0, 1, 23] and index.size == 24
+        assert index[[0, 1, 23]].tolist() == [0, 1, 2] and np.all(index[2:23] == -1)
+        assert slot_index(24.0) is None
+
+    def test_detrend_and_load_carry_the_cache(self, tmp_path):
+        s = load_series(write(tmp_path, "0,1\n1,2\n2,4\n5,3\n6,9\n"))
+        assert s.__dict__["interval"] == 1.0
+        s._slot_index
+        flat = detrend(s, window=3.0)
+        assert flat.__dict__["interval"] == 1.0 and flat._slot_index is s._slot_index
 
 
 class TestDetrend:
