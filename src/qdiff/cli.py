@@ -486,6 +486,12 @@ def _d2_rows(gp: pme.GoverningParams, t: float, xs) -> list:
 
 # --- synth ----------------------------------------------------------------
 
+# ``synth --mode mixture``'s narrow component: the strong regime's q, alpha
+# and D, its weight as t -> 0, and the lag where that weight reaches 0
+MIXTURE_BUMP = {"bump_q": 2.73, "bump_alpha": 1.26, "bump_d": 4.8e-3,
+                "bump_weight": 0.5, "bump_t_end": 78.0, "bump_sharpness": 1.0}
+
+
 def cmd_synth(
     out_dir,
     q: float,
@@ -495,20 +501,14 @@ def cmd_synth(
     n_per_lag: int,
     seed: int,
     mode: str = "selfsim",
-    bump_q: float = 2.73,
-    bump_alpha: float = 1.26,
-    bump_d: float = 4.8e-3,
-    bump_weight: float = 0.5,
-    bump_t_end: float = 78.0,
-    bump_sharpness: float = 1.0,
 ) -> Path:
     """Generate per-lag sample files from the self-similar family.
 
     ``selfsim`` mode draws every lag from one (q, alpha, D) family.
-    ``mixture`` mode overlays a dissolving narrow component with weight
-    bump_weight * (1 - (t/bump_t_end)^bump_sharpness), providing
-    two-regime fixtures for the boundary detectors; the sharpness sets
-    how abruptly the component dies as t approaches bump_t_end.
+    ``mixture`` mode overlays the narrow component ``MIXTURE_BUMP`` with
+    weight bump_weight * max(0, 1 - t/bump_t_end), providing two-regime
+    fixtures for the boundary detectors. Sidecars and ``synth.json``
+    record its six values.
     """
     if n_per_lag < 1:
         raise ValidationError(f"n_per_lag must be >= 1, got {n_per_lag}")
@@ -517,25 +517,24 @@ def cmd_synth(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     law = ScalingLaw(alpha=alpha, d_coef=d_coef)
-    bump_law = ScalingLaw(alpha=bump_alpha, d_coef=bump_d)
+    bump = MIXTURE_BUMP
     meta = {
         "mode": mode, "q": q, "alpha": alpha, "d_coef": d_coef, "seed": seed,
     }
     if mode == "mixture":
-        meta.update({"bump_q": bump_q, "bump_alpha": bump_alpha, "bump_d": bump_d,
-                     "bump_weight": bump_weight, "bump_t_end": bump_t_end,
-                     "bump_sharpness": bump_sharpness})
+        meta.update(bump)
+        bump_law = ScalingLaw(alpha=bump["bump_alpha"], d_coef=bump["bump_d"])
     for i, t in enumerate(lags):
         t = float(t)
         if mode == "selfsim":
             samples = selfsim_sample(q, law, t, n_per_lag, seed=seed + i)
         else:
             rng = np.random.default_rng(seed + i)
-            w_t = bump_weight * max(0.0, 1.0 - (t / bump_t_end) ** bump_sharpness)
+            w_t = bump["bump_weight"] * max(0.0, 1.0 - t / bump["bump_t_end"])
             n_bump = int(round(w_t * n_per_lag))
             parts = []
             if n_bump > 0:
-                parts.append(selfsim_sample(bump_q, bump_law, t, n_bump,
+                parts.append(selfsim_sample(bump["bump_q"], bump_law, t, n_bump,
                                             seed=rng.integers(2**63)))
             parts.append(selfsim_sample(q, law, t, n_per_lag - n_bump,
                                         seed=rng.integers(2**63)))
@@ -548,39 +547,38 @@ def cmd_synth(
 
 # --- verify-pme -------------------------------------------------------------
 
+PME_T1, PME_C_INT = 1.0, 1.0  # start time and integration constant of verify-pme's field
+
+
 def cmd_verify_pme(
     m: float,
     *,
     grid_points: int = 1025,
-    half_width: float = 0.0,
-    t1: float = 1.0,
     t2: float = 4.0,
-    c_int: float = 1.0,
     refinements: int = 3,
 ) -> dict:
     """Verify the analytic solution and the solver for one exponent.
 
     Reports the equation residual of the closed-form solution, the
-    sup-error of the evolved field against it, the mass drift, a
-    spatial convergence order from grid refinements, and each level's
-    step count, floor hits and mass drift. For m <= 0 the
-    evolution is ill-posed (negative diffusivity) and only the residual
-    is reported.
+    sup-error against it of the field evolved from ``PME_T1`` to ``t2`` on
+    a grid whose half-width follows from m, the mass drift, a spatial
+    convergence order from grid refinements, each level's step count,
+    floor hits and mass drift, and for m > 1 the front error. For m <= 0
+    the evolution is ill-posed (negative diffusivity) and only the
+    residual is reported.
     """
     if not (-1.0 < m < 2.0) or m == 0.0:
         raise ValidationError(f"m={m!r} outside (-1, 2) or degenerate at 0")
-    report: dict = {"m": m, "c_int": c_int, "t1": t1, "t2": t2}
+    report: dict = {"m": m, "c_int": PME_C_INT, "t1": PME_T1, "t2": t2}
 
     b = pme.profile_coef(m)
-    if m == 1.0:
-        probe_x = np.linspace(0.1, 3.0, 13) * math.sqrt(t1)
-    elif b > 0:
-        probe_x = np.linspace(0.1, 3.0, 13) * t1 ** (1.0 / (m + 1.0))
+    if m == 1.0 or b > 0:
+        probe_x = np.linspace(0.1, 3.0, 13)
     else:
-        edge = math.sqrt(c_int / abs(b)) * t1 ** (1.0 / (m + 1.0))
+        edge = math.sqrt(PME_C_INT / abs(b))  # the support edge at t1 = 1
         probe_x = np.linspace(0.05, 0.6, 13) * edge
-    resid = pme.barenblatt_residual(probe_x, t1, m, c_int)
-    peak = float(np.max(np.abs(np.asarray(pme.barenblatt(probe_x, t1, m, c_int)))))
+    resid = pme.barenblatt_residual(probe_x, PME_T1, m, PME_C_INT)
+    peak = float(np.max(np.abs(np.asarray(pme.barenblatt(probe_x, PME_T1, m, PME_C_INT)))))
     report["residual_max"] = float(np.max(resid))
     report["residual_rel_peak"] = float(np.max(resid) / peak)
 
@@ -588,29 +586,28 @@ def cmd_verify_pme(
         report["evolution"] = "skipped: m <= 0 is anti-diffusive in this form"
         return report
 
-    if half_width <= 0.0:
-        if m < 1.0:
-            half_width = 15.0 * t2 ** (1.0 / (m + 1.0))
-        elif m == 1.0:
-            half_width = 12.0 * math.sqrt(2.0 * t2)
-        else:
-            half_width = 1.5 * math.sqrt(c_int / abs(b)) * t2 ** (1.0 / (m + 1.0))
+    if m < 1.0:
+        half_width = 15.0 * t2 ** (1.0 / (m + 1.0))
+    elif m == 1.0:
+        half_width = 12.0 * math.sqrt(2.0 * t2)
+    else:
+        half_width = 1.5 * edge * t2 ** (1.0 / (m + 1.0))
 
     errors = []
     by_level: dict = {"n_steps": [], "floor_hits": [], "mass_drift": []}
     for level in range(refinements):
         n = (grid_points - 1) * 2**level + 1
         grid = np.linspace(-half_width, half_width, n)
-        u0 = np.asarray(pme.barenblatt(grid, t1, m, c_int))
-        field = pme.PmeField(grid=grid, u=u0, time=t1, m=m)
+        u0 = np.asarray(pme.barenblatt(grid, PME_T1, m, PME_C_INT))
+        field = pme.PmeField(grid=grid, u=u0, time=PME_T1, m=m)
         # Power tails reach the edges for m < 1; for m >= 1 the field there is ~0.
         closure = {"bc": "zero-flux"}
         if m < 1.0:
-            bv = lambda t, ends=grid[[0, -1]]: tuple(pme.barenblatt(ends, t, m, c_int))
+            bv = lambda t, ends=grid[[0, -1]]: tuple(pme.barenblatt(ends, t, m, PME_C_INT))
             closure = {"bc": "dirichlet", "boundary_values": bv}
         # TR-BDF2 is second order in time, like the grid in space
         res = pme.solve_pme(field, t2, log_step=2e-3 / 2**level, **closure)
-        exact = np.asarray(pme.barenblatt(grid, t2, m, c_int))
+        exact = np.asarray(pme.barenblatt(grid, t2, m, PME_C_INT))
         err = float(np.max(np.abs(res.field.u - exact)))
         errors.append(err)
         for key, values in by_level.items():
@@ -623,13 +620,11 @@ def cmd_verify_pme(
             if m > 1.0:
                 # Compact support: compare the numeric front position
                 # against the analytic support edge.
-                dx = grid[1] - grid[0]
-                front_exact = math.sqrt(c_int / abs(b)) * t2 ** (1.0 / (m + 1.0))
-                occupied = res.field.u > 1e-8 * float(np.max(res.field.u))
-                front_num = float(np.max(np.abs(grid[occupied])))
+                front_exact = edge * t2 ** (1.0 / (m + 1.0))
+                front_num = _pressure_front(grid, res.field.u, m)
                 report["front_exact"] = front_exact
                 report["front_numeric"] = front_num
-                report["front_error_cells"] = abs(front_num - front_exact) / dx
+                report["front_error_cells"] = abs(front_num - front_exact) / (grid[1] - grid[0])
     report["sup_errors"] = errors
     report.update({f"{key}_by_level": values for key, values in by_level.items()})
     if len(errors) >= 2:
@@ -637,6 +632,21 @@ def cmd_verify_pme(
         report["convergence_orders"] = orders
         report["convergence_order"] = float(np.mean(orders))
     return report
+
+
+def _pressure_front(grid: np.ndarray, u: np.ndarray, m: float) -> float:
+    """The support edge |x| of a field with m > 1: on each side, where the
+    pressure u^(m-1), linear in x^2 for the exact field, extrapolates to
+    zero through the outermost two points with u > 1e-8 max u; the farther
+    side's edge. The outermost such point alone lies cells inside the edge
+    when m is near 1."""
+    occupied = np.flatnonzero(u > 1e-8 * np.max(u))
+    edges = []
+    for outer, inner in ((occupied[0], occupied[0] + 1), (occupied[-1], occupied[-1] - 1)):
+        s_out, s_in = grid[outer] ** 2, grid[inner] ** 2
+        p_out, p_in = u[outer] ** (m - 1.0), u[inner] ** (m - 1.0)
+        edges.append(math.sqrt(s_out + p_out * (s_out - s_in) / (p_in - p_out)))
+    return max(edges)
 
 
 # --- stored pdfs -----------------------------------------------------------
@@ -701,20 +711,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--n-per-lag", type=int, required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--mode", choices=("selfsim", "mixture"), default="selfsim")
-    p.add_argument("--bump-q", type=float, default=2.73)
-    p.add_argument("--bump-alpha", type=float, default=1.26)
-    p.add_argument("--bump-d", type=float, default=4.8e-3)
-    p.add_argument("--bump-weight", type=float, default=0.5)
-    p.add_argument("--bump-t-end", type=float, default=78.0)
-    p.add_argument("--bump-sharpness", type=float, default=1.0)
 
     p = sub.add_parser("verify-pme", help="verify the diffusion solver against the analytic solution")
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--grid-points", type=int, default=1025)
-    p.add_argument("--half-width", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--t2", type=float, default=4.0)
-    p.add_argument("--c-int", type=float, default=1.0)
     p.add_argument("--refinements", type=int, default=3)
     p.add_argument("--out", default="", help="write the JSON report here")
 
@@ -766,19 +767,14 @@ def _run(args) -> int:
         lags = ing.lag_ladder(args.min_lag, args.max_lag, args.points_per_decade)
         out = cmd_synth(
             args.out, args.q, args.alpha, args.d_coef, lags, args.n_per_lag,
-            args.seed, mode=args.mode, bump_q=args.bump_q,
-            bump_alpha=args.bump_alpha, bump_d=args.bump_d,
-            bump_weight=args.bump_weight, bump_t_end=args.bump_t_end,
-            bump_sharpness=args.bump_sharpness,
+            args.seed, mode=args.mode,
         )
         print(f"synthetic ensembles written to {out}")
         return 0
 
     if args.command == "verify-pme":
-        report = cmd_verify_pme(
-            args.m, grid_points=args.grid_points, half_width=args.half_width,
-            t1=args.t1, t2=args.t2, c_int=args.c_int, refinements=args.refinements,
-        )
+        report = cmd_verify_pme(args.m, grid_points=args.grid_points, t2=args.t2,
+                                refinements=args.refinements)
         _emit_json(report, args.out)
         return 0
 

@@ -215,7 +215,9 @@ def fit_qgauss(p: EmpiricalPdf, restriction: tuple[float, float] | None = None) 
     starts, each with the beta that puts half the peak at the data's
     half-width.
     Fits that end on the q-domain boundary are flagged, not rejected; an
-    exact Gaussian legitimately fits at the lower edge.
+    exact Gaussian legitimately fits at the lower edge. A fit whose width
+    1/sqrt(beta) is below the grid spacing, which the grid cannot resolve,
+    raises FitError.
     """
     x = p.grid
     dens = p.density
@@ -241,6 +243,10 @@ def fit_qgauss(p: EmpiricalPdf, restriction: tuple[float, float] | None = None) 
         raise FitError("q-Gaussian fit did not converge within the iteration cap")
     q_hat = float(sol.x[0])
     beta_hat = math.exp(sol.x[1])
+    width = 1.0 / math.sqrt(beta_hat)
+    if width < p.dx:
+        raise FitError(f"q-Gaussian fit is degenerate: width {width:.3g} "
+                       f"below the grid spacing {p.dx:.3g}")
     at_edge = (q_hat - Q_FIT_BOUNDS[0] < 5e-6) or (Q_FIT_BOUNDS[1] - q_hat < 5e-6)
     return LagFit(
         lag=p.lag,

@@ -157,20 +157,14 @@ def _parse_timestamp(text: str) -> float:
     return stamp.timestamp() / 60.0
 
 
-def load_series(
-    path,
-    *,
-    delimiter: str = ",",
-    has_header: bool | None = None,
-    timestamp_column: int = 0,
-    value_column: int = 1,
-) -> IndexSeries:
+def load_series(path, *, delimiter: str = ",") -> IndexSeries:
     """Load an index series from a two-column CSV file.
 
-    The header row is auto-detected when ``has_header`` is None: a first
-    row with a field that does not parse is a header. Timestamps may be
-    numeric minutes or ISO-8601 (UTC unless they carry an offset; see
-    ``_parse_timestamp``); values must be finite. Unparseable rows,
+    Column 0 holds the timestamps and column 1 the values; further columns
+    are ignored. The header row is auto-detected: a first row with a field
+    that does not parse is a header. Timestamps may be numeric minutes or
+    ISO-8601 (UTC unless they carry an offset; see ``_parse_timestamp``);
+    values must be finite. Unparseable rows,
     duplicate or non-monotone timestamps raise a SchemaError naming the
     offending file line(s), blank lines counted; a row whose quoted cell
     spans lines is named by its first line.
@@ -185,11 +179,10 @@ def load_series(
     rounded routine as ``float()``, so they return the same bits.
     """
     path = Path(path)
-    columns = (timestamp_column, value_column)
-    header_lines = _header_lines(path, delimiter, has_header, columns)
-    table = _read_table(path, delimiter, header_lines, columns)
+    header_lines = _header_lines(path, delimiter)
+    table = _read_table(path, delimiter, header_lines)
     if table is None:
-        ts, values, lines = _read_rows(path, delimiter, header_lines > 0, columns)
+        ts, values, lines = _read_rows(path, delimiter, header_lines > 0)
     else:
         ts, values = np.ascontiguousarray(table.T)  # contiguous, as the row loop's arrays are
         lines = None
@@ -198,7 +191,7 @@ def load_series(
     bad = np.flatnonzero(diffs <= 0.0)[:10]
     if bad.size:
         if lines is None:  # the C reader keeps no line numbers; the row loop does
-            lines = _read_rows(path, delimiter, header_lines > 0, columns)[2]
+            lines = _read_rows(path, delimiter, header_lines > 0)[2]
         kind = "duplicated" if np.any(diffs == 0.0) else "non-monotone"
         at = ", ".join(str(lines[i + 1]) for i in bad)
         raise SchemaError(f"{path}: {kind} timestamp at line(s) {at}")
@@ -211,29 +204,27 @@ def load_series(
     return series
 
 
-def _header_lines(path: Path, delimiter: str, has_header: bool | None, columns) -> int:
+def _header_lines(path: Path, delimiter: str) -> int:
     """File lines taken by a header row at the top of the file, 0 if none.
 
     A blank or short first row is never a header. Otherwise it is one when
-    ``has_header`` is True, or when it is None and a field does not parse.
-    A quoted header field may span lines, hence a count and not a flag.
+    a field does not parse. A quoted header field may span lines, hence a
+    count and not a flag.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         row = next(reader, [])
-    if all(not cell.strip() for cell in row) or len(row) < max(columns) + 1:
+    if all(not cell.strip() for cell in row) or len(row) < 2:
         return 0
-    if has_header is None:
-        try:
-            _parse_timestamp(row[columns[0]].strip())
-            float(row[columns[1]].strip())
-            has_header = False
-        except ValueError:
-            has_header = True
-    return reader.line_num if has_header else 0
+    try:
+        _parse_timestamp(row[0].strip())
+        float(row[1].strip())
+        return 0
+    except ValueError:
+        return reader.line_num
 
 
-def _read_table(path: Path, delimiter: str, header_lines: int, columns) -> np.ndarray | None:
+def _read_table(path: Path, delimiter: str, header_lines: int) -> np.ndarray | None:
     """(rows, 2) float64 table from numpy's C reader, or None to hand the
     file to the row loop: when a field does not parse as a plain number,
     when fewer than two rows remain, or when a value is not finite.
@@ -255,7 +246,7 @@ def _read_table(path: Path, delimiter: str, header_lines: int, columns) -> np.nd
         with source as fname, warnings.catch_warnings():
             # an empty or header-only file goes to the row loop, which says so
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            table = np.loadtxt(fname, delimiter=delimiter, skiprows=header_lines, usecols=columns,
+            table = np.loadtxt(fname, delimiter=delimiter, skiprows=header_lines, usecols=(0, 1),
                                comments=None, quotechar='"', ndmin=2, dtype=float,
                                encoding="utf-8")
     except ValueError:
@@ -265,11 +256,9 @@ def _read_table(path: Path, delimiter: str, header_lines: int, columns) -> np.nd
     return table
 
 
-def _read_rows(path: Path, delimiter: str, skip_first: bool, columns):
+def _read_rows(path: Path, delimiter: str, skip_first: bool):
     """The ``csv`` row loop: timestamps, values and the first file line of
     each kept row, or a SchemaError naming the bad lines (first ten)."""
-    ts_col, val_col = columns
-    needed = max(columns) + 1
     timestamps: list[float] = []
     values: list[float] = []
     lines: list[int] = []
@@ -281,14 +270,14 @@ def _read_rows(path: Path, delimiter: str, skip_first: bool, columns):
             line_no, next_line = next_line, reader.line_num + 1
             if not row or all(not cell.strip() for cell in row):
                 continue
-            if len(row) < needed:
-                bad_lines.append((line_no, f"expected >= {needed} columns, got {len(row)}"))
+            if len(row) < 2:
+                bad_lines.append((line_no, f"expected >= 2 columns, got {len(row)}"))
                 continue
             if record_no == 1 and skip_first:
                 continue
             try:
-                ts = _parse_timestamp(row[ts_col].strip())
-                val = float(row[val_col].strip())
+                ts = _parse_timestamp(row[0].strip())
+                val = float(row[1].strip())
             except ValueError as exc:
                 bad_lines.append((line_no, str(exc)))
                 continue

@@ -26,13 +26,9 @@ __all__ = ["json_text", "read_array", "read_sidecar", "write_array", "write_json
 def write_table(path, header, rows) -> None:
     """Write a header line, then one CSV line per row.
 
-    ``rows`` is either a 2-d numeric array with one column per header
-    name, or a sequence of row sequences whose cells are numbers or None.
+    ``rows`` is a sequence of row sequences, one cell per header name,
+    whose cells are numbers or None.
     """
-    if isinstance(rows, np.ndarray) and (rows.ndim != 2 or rows.shape[1] != len(header)):
-        raise ValueError(
-            f"rows must be a 2-d array with {len(header)} columns, got shape {rows.shape}"
-        )
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for row in rows:

@@ -52,9 +52,8 @@ class QDomainError(ValueError):
 
 
 def _check_q(q: float) -> None:
-    if abs(q - 1.0) <= Q_LIMIT_TOL:
-        return
-    if not (1.0 + Q_LIMIT_TOL < q < 3.0 - Q_LIMIT_TOL):
+    """Refuse q outside [1 - Q_LIMIT_TOL, 3 - Q_LIMIT_TOL), and NaN."""
+    if not (abs(q - 1.0) <= Q_LIMIT_TOL or 1.0 + Q_LIMIT_TOL < q < 3.0 - Q_LIMIT_TOL):
         raise QDomainError(
             f"q={q!r} outside (1, 3); densities are not normalizable there"
         )
@@ -64,36 +63,19 @@ def _check_q(q: float) -> None:
 class QParams:
     """Shape (entropic index q) and inverse-width (beta) of a q-Gaussian.
 
-    q = 1 is the Gaussian limit and is only accepted with
-    ``gaussian_limit=True`` so that callers opt in to the limit branch
-    explicitly rather than hitting the removable singularity of the
-    closed forms.
+    q within ``Q_LIMIT_TOL`` of 1 is the Gaussian member (variance
+    1 / (2 beta)), evaluated through the analytic limit rather than the
+    removable singularity of the closed forms. Other q must lie in
+    (1 + Q_LIMIT_TOL, 3 - Q_LIMIT_TOL); QDomainError otherwise.
     """
 
     q: float
     beta: float
-    gaussian_limit: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.beta) and self.beta > 0.0):
             raise QDomainError(f"beta must be positive and finite, got {self.beta!r}")
-        if not math.isfinite(self.q):
-            raise QDomainError(f"q must be finite, got {self.q!r}")
-        if self.gaussian_limit:
-            if abs(self.q - 1.0) > Q_LIMIT_TOL:
-                raise QDomainError(
-                    f"gaussian_limit requires |q - 1| <= {Q_LIMIT_TOL}, got q={self.q!r}"
-                )
-        else:
-            if not (1.0 + Q_LIMIT_TOL < self.q < 3.0 - Q_LIMIT_TOL):
-                raise QDomainError(
-                    f"q={self.q!r} outside (1, 3); pass gaussian_limit=True for q = 1"
-                )
-
-    @classmethod
-    def gaussian(cls, beta: float) -> "QParams":
-        """Gaussian member of the family (variance 1 / (2 beta))."""
-        return cls(q=1.0, beta=beta, gaussian_limit=True)
+        _check_q(self.q)
 
     @property
     def is_gaussian(self) -> bool:
@@ -321,8 +303,7 @@ def selfsim_pdf(x, t: float, q: float, law: ScalingLaw):
     if not (t > 0.0):
         raise ValueError(f"self-similar family needs t > 0, got {t!r}")
     w = float(law.width(t))
-    p = QParams(q=q, beta=1.0, gaussian_limit=abs(q - 1.0) <= Q_LIMIT_TOL)
-    return qgauss_pdf(np.asarray(x, dtype=float) / w, p) / w
+    return qgauss_pdf(np.asarray(x, dtype=float) / w, QParams(q=q, beta=1.0)) / w
 
 
 def selfsim_height(t: float, q: float, law: ScalingLaw) -> float:
@@ -336,5 +317,4 @@ def selfsim_sample(q: float, law: ScalingLaw, t: float, n: int, seed) -> np.ndar
     """Draw n variates of the self-similar density at time t."""
     if not (t > 0.0):
         raise ValueError(f"self-similar family needs t > 0, got {t!r}")
-    p = QParams(q=q, beta=1.0, gaussian_limit=abs(q - 1.0) <= Q_LIMIT_TOL)
-    return qgauss_sample(p, n, seed) * float(law.width(t))
+    return qgauss_sample(QParams(q=q, beta=1.0), n, seed) * float(law.width(t))

@@ -18,7 +18,7 @@ from qdiff.qgauss import QParams, qgauss_pdf
 
 def quad_normalization(q: float, beta: float) -> float:
     """Integral of the q-Gaussian density over the real line by quadrature."""
-    p = QParams(q=q, beta=beta, gaussian_limit=abs(q - 1.0) <= 1e-8)
+    p = QParams(q=q, beta=beta)
     val, _ = integrate.quad(lambda x: qgauss_pdf(x, p), 0.0, np.inf, limit=400)
     return 2.0 * val
 

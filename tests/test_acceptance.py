@@ -68,9 +68,7 @@ def mixture_run(tmp_path_factory):
     base = tmp_path_factory.mktemp("mixture")
     ens = cmd_synth(base / "ens", q=WEAK_Q, alpha=WEAK_ALPHA, d_coef=WEAK_D,
                     lags=lag_ladder(1, 3000, 4), n_per_lag=N_PER_LAG, seed=7,
-                    mode="mixture", bump_q=STRONG_Q, bump_alpha=STRONG_ALPHA,
-                    bump_d=STRONG_D, bump_weight=MIX_WEIGHT, bump_t_end=MIX_T_END,
-                    bump_sharpness=1.0)
+                    mode="mixture")
     out = cmd_pipeline(RunConfig(ensembles=str(ens), out=str(base / "run")))
     shutil.rmtree(ens)  # 120 MB of samples; the checks read the run only
     return out
@@ -209,7 +207,7 @@ class TestCriterion5Barenblatt:
                                  grid_points=513, t2=2.0)
             resid_ok &= rep["residual_rel_peak"] < 1e-6
             details.append(f"m={m}: resid={rep['residual_rel_peak']:.2e}")
-        rep = cmd_verify_pme(0.29, grid_points=1025, t1=1.0, t2=4.0, refinements=3)
+        rep = cmd_verify_pme(0.29, grid_points=1025, t2=4.0, refinements=3)
         sup_ok = rep["sup_error_rel_peak"] < 1e-3
         order_ok = abs(rep["convergence_order"] - 2.0) <= 0.3
         ok = resid_ok and sup_ok and order_ok
@@ -295,7 +293,7 @@ class TestCriterion8CoreProperties:
             tail_ok &= abs(slope + 2.0 / (q - 1.0)) <= 0.02 * (2.0 / (q - 1.0))
 
         xg = np.linspace(-10, 10, 2001)
-        p_lim = QParams(1.0 + 1e-10, 1.0, gaussian_limit=True)
+        p_lim = QParams(1.0 + 1e-10, 1.0)
         gauss = np.sqrt(1.0 / np.pi) * np.exp(-xg * xg)
         limit_dev = float(np.max(np.abs(qgauss_pdf(xg, p_lim) - gauss)))
         limit_ok = limit_dev < 1e-6

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from qdiff import pme
 from qdiff import regimes as reg
 from qdiff.cli import (
     RunConfig,
@@ -65,7 +66,7 @@ class TestSynth:
     def test_mixture_mode_weights_die_at_end(self, tmp_path):
         out = cmd_synth(tmp_path / "m", q=1.71, alpha=1.79, d_coef=0.1118,
                         lags=[1.0, 100.0], n_per_lag=1000, seed=3,
-                        mode="mixture", bump_t_end=78.0)
+                        mode="mixture")
         meta = json.loads((out / "synth.json").read_text())
         assert meta["mode"] == "mixture"
         # past bump_t_end the lag holds only the wide component; both files exist
@@ -201,13 +202,28 @@ class TestVerifyPme:
         assert report["convergence_order"] == pytest.approx(2.0, abs=0.3)
 
     def test_heat_kernel_case(self):
-        report = cmd_verify_pme(1.0, grid_points=1025, refinements=1, t1=0.5, t2=1.0)
+        report = cmd_verify_pme(1.0, grid_points=1025, refinements=1, t2=2.0)
         assert report["residual_rel_peak"] < 1e-6
         assert report["sup_error_rel_peak"] < 1e-4
 
     def test_compact_support_front(self):
         report = cmd_verify_pme(1.5, grid_points=1025, refinements=1)
         assert report["front_error_cells"] <= 2.0
+
+    @pytest.mark.parametrize("grid_points", [513, 1025, 4097])
+    def test_front_of_the_exact_field_reads_zero_cells(self, grid_points, monkeypatch):
+        # a solver that returns the exact field at m = 1.2, where the
+        # profile vanishes like (x_f - x)^5 and a density threshold reads
+        # the front cells inside it
+        def exact_solve(field, t_end, **kwargs):
+            u = np.asarray(pme.barenblatt(field.grid, t_end, field.m, 1.0))
+            return pme.SolveResult(field=pme.PmeField(grid=field.grid, u=u, time=t_end,
+                                                      m=field.m),
+                                   mass_drift=0.0, floor_hits=0, n_steps=1)
+
+        monkeypatch.setattr(pme, "solve_pme", exact_solve)
+        report = cmd_verify_pme(1.2, grid_points=grid_points, refinements=1)
+        assert report["front_error_cells"] < 1e-9
 
     def test_slow_diffusion_report(self):
         report = cmd_verify_pme(1.5, grid_points=257, refinements=2)
@@ -344,6 +360,23 @@ class TestMainEntry:
                      "--d-coef", "0.1118", "--out", str(col_out)]) == 0
         res = json.loads((col_out / "collapse.json").read_text())
         assert abs(res["q"] - 1.71) < 0.1
+
+    @pytest.mark.parametrize("flag", ["--bump-q", "--bump-alpha", "--bump-d", "--bump-weight",
+                                      "--bump-t-end", "--bump-sharpness", "--half-width",
+                                      "--t1", "--c-int"])
+    def test_removed_flag_exits_1(self, flag, tmp_path, capsys):
+        # each flag given its former default, so only its absence can fail the run
+        default = {"--bump-q": "2.73", "--bump-alpha": "1.26", "--bump-d": "4.8e-3",
+                   "--bump-weight": "0.5", "--bump-t-end": "78", "--bump-sharpness": "1",
+                   "--half-width": "0", "--t1": "1", "--c-int": "1"}[flag]
+        if flag.startswith("--bump"):
+            argv = ["synth", "--out", str(tmp_path / "s"), "--q", "1.71", "--alpha", "1.79",
+                    "--d-coef", "0.1118", "--max-lag", "10", "--points-per-decade", "1",
+                    "--n-per-lag", "100", "--mode", "mixture"]
+        else:
+            argv = ["verify-pme", "--m", "1.5", "--grid-points", "65", "--refinements", "1"]
+        assert main(argv + [flag, default]) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_set_key(self, tmp_path):
         assert main(["pipeline", "--ensembles", str(tmp_path), "--out",

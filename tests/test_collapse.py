@@ -46,7 +46,7 @@ class TestFitQGauss:
         assert not fit.at_boundary
 
     def test_exact_gaussian_hits_domain_edge(self):
-        p = QParams.gaussian(1.0)
+        p = QParams(1.0, 1.0)
         fit = fit_qgauss(analytic_pdf(p, span=8.0))
         assert fit.params.q - 1.0 < 1e-3
         assert fit.at_boundary
@@ -280,6 +280,17 @@ class TestBimodalStart:
             return
         assert math.isfinite(fit.params.q) and fit.params.beta > 0.0
 
+    def test_two_hump_fit_narrower_than_the_grid_raises(self):
+        # the solve ends at a width of about 2e-6 on a grid spacing of 0.01
+        grid = np.linspace(-4.0, 4.0, 801)
+        pdf = EmpiricalPdf.from_function(
+            lambda x: np.exp(-0.5 * ((x - 1.5) / 0.3) ** 2)
+            + np.exp(-0.5 * ((x + 1.5) / 0.3) ** 2),
+            grid, lag=1.0,
+        )
+        with pytest.raises(FitError, match="below the grid spacing"):
+            fit_qgauss(pdf)
+
 
 def pipeline_kde(x) -> EmpiricalPdf:
     """A core pdf as the pipeline estimates it: bandwidth and span from the
@@ -300,7 +311,7 @@ FIT_PDFS = {
     "kde-q1.71": lambda tmp_path: pipeline_kde(qgauss_sample(QParams(1.71, 2.0), 10**5, seed=31)),
     "kde-q2.73": lambda tmp_path: pipeline_kde(qgauss_sample(QParams(2.73, 50.0), 10**5, seed=32)),
     "mixture-lag": mixture_lag_pdf,
-    "exact-gaussian": lambda tmp_path: analytic_pdf(QParams.gaussian(1.0), span=8.0),
+    "exact-gaussian": lambda tmp_path: analytic_pdf(QParams(1.0, 1.0), span=8.0),
 }
 
 

@@ -110,7 +110,7 @@ class TestDensity:
 
     @pytest.mark.parametrize("beta", [0.5, 1.0, 4.0])
     def test_gaussian_limit_sup_norm(self, beta):
-        p = QParams(1.0 + 1e-10, beta, gaussian_limit=True)
+        p = QParams(1.0 + 1e-10, beta)
         x = np.linspace(-10.0, 10.0, 2001)
         gauss = np.sqrt(beta / np.pi) * np.exp(-beta * x * x)
         assert np.max(np.abs(qgauss_pdf(x, p) - gauss)) < 1e-6
@@ -185,7 +185,7 @@ class TestSampler:
         assert np.array_equal(a, b)
 
     def test_gaussian_limit_variance(self):
-        p = QParams.gaussian(0.5)
+        p = QParams(1.0, 0.5)
         x = qgauss_sample(p, 10**6, seed=3)
         assert np.var(x) == pytest.approx(1.0, rel=0.01)
 
@@ -289,15 +289,19 @@ class TestRescaleExponent:
 
 
 class TestParams:
-    def test_gaussian_flag_required_for_q1(self):
-        with pytest.raises(QDomainError):
-            QParams(1.0, 1.0)
-        assert QParams(1.0, 1.0, gaussian_limit=True).is_gaussian
-        assert QParams.gaussian(2.0).beta == 2.0
+    @pytest.mark.parametrize("q", [1.0, 1.0 - 1e-9, 1.0 + 1e-9])
+    def test_q_near_one_is_the_gaussian_member(self, q):
+        beta = 2.0
+        p = QParams(q, beta)
+        assert p.is_gaussian
+        x = np.linspace(-3.0, 3.0, 61)
+        exact = np.sqrt(beta / np.pi) * np.exp(-beta * x * x)
+        np.testing.assert_allclose(qgauss_pdf(x, p), exact, rtol=1e-14, atol=0.0)
 
-    def test_flag_rejects_far_q(self):
+    @pytest.mark.parametrize("q", [1.0 - 1e-6, 3.0 - 1e-9, math.nan])
+    def test_q_outside_the_window_raises(self, q):
         with pytest.raises(QDomainError):
-            QParams(1.5, 1.0, gaussian_limit=True)
+            QParams(q, 1.0)
 
     @pytest.mark.parametrize("q,beta", [(0.5, 1.0), (3.0, 1.0), (1.5, 0.0), (1.5, -2.0)])
     def test_invalid_params(self, q, beta):

@@ -58,7 +58,7 @@ class TestBumpBoundary:
             assert bump_boundary(pdf) is None
 
     def test_pure_gaussian_has_no_bump(self):
-        p = QParams.gaussian(0.5)
+        p = QParams(1.0, 0.5)
         pdf = EmpiricalPdf.from_function(
             lambda x: qgauss_pdf(x, p), np.linspace(-10, 10, 16385), lag=1.0
         )
