@@ -1,18 +1,16 @@
 """Command-line pipeline: ingest, densities, regimes, collapse, equation checks.
 
-Subcommands: pipeline, synth, verify-pme, fit, collapse, d2-grid. Per-lag
-samples, density grids and collapse clouds are numpy .npy arrays, the
-smaller tables are CSV with numbers written to 17 significant digits, and
-metadata is JSON, so reruns with the same configuration are
-byte-identical. Exit codes: 0 success, 1 validation error, 2 computation
-error.
+Subcommands: pipeline, synth, verify-pme, d2-grid. Per-lag samples,
+density grids and collapse clouds are numpy .npy arrays, the smaller
+tables are CSV with numbers written to 17 significant digits, and metadata
+is JSON, so reruns with the same configuration are byte-identical. Exit
+codes: 0 success, 1 validation error, 2 computation error.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import sys
 import time
@@ -85,8 +83,11 @@ class RunConfig:
             raise ValidationError(f"grid_points must be >= 3, got {self.grid_points}")
         if self.points_per_decade < 1:
             raise ValidationError("points_per_decade must be >= 1")
-        if self.bandwidth < 0:
-            raise ValidationError("bandwidth must be >= 0")
+        if not 0 <= self.bandwidth < math.inf:
+            raise ValidationError(f"bandwidth must be finite and >= 0, got {self.bandwidth!r}")
+        if not 0 < self.detrend_window < math.inf:
+            raise ValidationError(f"detrend_window must be finite and positive, "
+                                  f"got {self.detrend_window!r}")
         if not (self.t_cross_start < self.t_bump_end):
             raise ValidationError("t_cross_start must precede t_bump_end")
         if self.origin_policy not in ("overlapping", "non-overlapping"):
@@ -263,7 +264,16 @@ def _stage_ensembles(cfg, out, state, record):
                 hint = ("; text sample files (lag_*.csv) are no longer read, convert each "
                         "with np.save(path.with_suffix('.npy'), np.loadtxt(path, skiprows=1))")
             raise ValidationError(f"no lag_*.npy sample files under {src}{hint}")
-        state["ensembles"] = [_read_samples(p) for p in paths]
+        ensembles = [_read_samples(p) for p in paths]
+        # the rounded lag names the lag's pdf file, so no two may share it
+        seen: dict = {}
+        for path, ens in zip(paths, ensembles):
+            key = int(round(ens.lag))
+            if key in seen:
+                raise ValidationError(f"{seen[key]} and {path} both hold lag {key} "
+                                      f"(rounded), which names one pdf file")
+            seen[key] = path
+        state["ensembles"] = ensembles
         state["inputs"].update((str(p), _sha256(p)) for p in paths)
         return
     series = ing.load_series(cfg.input, delimiter=cfg.delimiter)
@@ -330,8 +340,9 @@ def _stage_regimes(cfg, out, state, record):
     record("regimes", bpath)
 
     detected = [(t, b) for t, b in rows if b is not None]
+    has_bumps = len(detected) >= MIN_BUMP_LAGS
     boundary_fit = None
-    if len({t for t, _ in detected}) >= 3:
+    if has_bumps:
         boundary_fit = reg.fit_boundary_curve([(t, b[0], b[1]) for t, b in detected])
         a, nu = boundary_fit.a, boundary_fit.nu
     else:
@@ -356,7 +367,7 @@ def _stage_regimes(cfg, out, state, record):
     write_json(ppath, payload)
     record("regimes", ppath)
     state["partition"] = partition
-    state["has_bumps"] = len(detected) >= MIN_BUMP_LAGS
+    state["has_bumps"] = has_bumps
     # the partition keeps nu inside (0, 1); the report keeps what was fitted
     state["report"]["regimes"] = {
         "n_lags_with_bump": len(detected),
@@ -395,7 +406,7 @@ def _stage_lag_fits(cfg, out, state, record):
     # how each solve went; not in lag_fits.json, whose sha256 the manifest holds
     state["report"]["lag_fits"] = [
         {"lag": f.lag, "nfev": f.nfev, "status": f.status, "start_q": f.start_q,
-         "at_boundary": f.at_boundary}
+         "at_boundary": f.at_boundary, "grid_mass": f.grid_mass}
         for f in fits
     ]
 
@@ -649,38 +660,6 @@ def _pressure_front(grid: np.ndarray, u: np.ndarray, m: float) -> float:
     return max(edges)
 
 
-# --- stored pdfs -----------------------------------------------------------
-
-_TEXT_PDF_HINT = ("text pdfs (pdf_*.csv) are no longer read; convert each, keeping its "
-                 'sidecar, with np.save(path.with_suffix(".npy"), '
-                 'np.loadtxt(path, delimiter=",", skiprows=1))')
-
-
-def _read_pdf(path: Path) -> dns.EmpiricalPdf:
-    """``dns.read_pdf_csv`` with every refusal a ValidationError."""
-    if path.suffix == ".csv":
-        raise ValidationError(f"{path}: {_TEXT_PDF_HINT}")
-    try:
-        return dns.read_pdf_csv(path)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def _weak_zone_start(path: Path) -> float:
-    """The first lag of the weak zone of the pipeline run whose
-    ``partition.json`` is ``path``: its ``t_bump_end`` when that run saw a
-    bump on at least ``MIN_BUMP_LAGS`` lags, else every lag (-inf, also
-    when there is no such file)."""
-    if not path.exists():
-        return -math.inf
-    try:
-        partition = json.loads(path.read_text())
-        has_bumps = partition["n_lags_with_bump"] >= MIN_BUMP_LAGS
-        return float(partition["t_bump_end"]) if has_bumps else -math.inf
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(f"{path}: not a readable partition ({exc!r})") from exc
-
-
 # --- argument parsing -------------------------------------------------------
 
 class _Parser(argparse.ArgumentParser):
@@ -718,17 +697,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--t2", type=float, default=4.0)
     p.add_argument("--refinements", type=int, default=3)
     p.add_argument("--out", default="", help="write the JSON report here")
-
-    p = sub.add_parser("fit", help="fit a q-Gaussian to one stored pdf")
-    p.add_argument("--pdf", required=True, help="pdf_NNNNNN.npy written by the pipeline")
-    p.add_argument("--window", type=float, nargs=2, default=None)
-    p.add_argument("--out", default="")
-
-    p = sub.add_parser("collapse", help="collapse stored pdfs under a scaling law")
-    p.add_argument("--pdfs", required=True, help="directory of pdf_*.npy files")
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--d-coef", type=float, required=True)
-    p.add_argument("--out", required=True)
 
     p = sub.add_parser("d2-grid", help="evaluate the diffusion coefficient on a grid")
     p.add_argument("--q", type=float, required=True)
@@ -776,34 +744,6 @@ def _run(args) -> int:
         report = cmd_verify_pme(args.m, grid_points=args.grid_points, t2=args.t2,
                                 refinements=args.refinements)
         _emit_json(report, args.out)
-        return 0
-
-    if args.command == "fit":
-        pdf = _read_pdf(Path(args.pdf))
-        window = tuple(args.window) if args.window else None
-        fit = clp.fit_qgauss(pdf, restriction=window)
-        _emit_json({**clp.lag_fit_payload(fit), "grid_mass": fit.grid_mass}, args.out)
-        return 0
-
-    if args.command == "collapse":
-        pdf_dir = Path(args.pdfs)
-        paths = sorted(pdf_dir.glob("pdf_*.npy"))
-        if not paths and any(pdf_dir.glob("pdf_*.csv")):
-            raise ValidationError(f"no pdf_*.npy files under {pdf_dir}; {_TEXT_PDF_HINT}")
-        t_weak = _weak_zone_start(pdf_dir.parent / "partition.json")
-        pdfs = [p for p in map(_read_pdf, paths) if p.lag >= t_weak]
-        if len(pdfs) < 2:
-            raise ValidationError(f"need >= 2 pdf_*.npy files at lags >= {t_weak:g} "
-                                  f"under {pdf_dir}")
-        scaling = ScalingLaw(alpha=args.alpha, d_coef=args.d_coef)
-        # each pdf's own fit gives the grid mass the pipeline scales it by
-        fits = [clp.fit_qgauss(p) for p in pdfs]
-        pts, res = clp.collapse_zone(pdfs, fits, "C", scaling)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        clp.write_collapsed_csv(pts, out / "collapsed.npy")
-        write_json(out / "collapse.json", clp.collapse_payload(res))
-        print(f"collapse q={res.q:.6g} residual={res.collapse_residual:.6g}")
         return 0
 
     if args.command == "d2-grid":

@@ -39,7 +39,6 @@ __all__ = [
     "fit_beta_law",
     "fit_collapsed",
     "fit_qgauss",
-    "lag_fit_payload",
 ]
 
 # q of the starts each fit screens
@@ -58,8 +57,8 @@ class LagFit:
     grid; collapse routines use it to undo the truncation renormalization
     before pooling lags estimated over different spans. ``nfev``,
     ``status`` and ``start_q`` describe the solve (function evaluations,
-    the least-squares status, the screen q it started from); they go to
-    the run report, not to ``lag_fits.json``.
+    the least-squares status, the screen q it started from). These four
+    go to the run report, not to ``lag_fits.json``.
     """
 
     lag: float
@@ -387,17 +386,14 @@ def fit_collapsed(points: np.ndarray, scaling: ScalingLaw, zone: str = "C") -> C
     )
 
 
-def collapse_zone(pdfs, fits, zone: str, scaling: ScalingLaw | None = None,
-                  restriction=None) -> tuple[np.ndarray, CollapseResult]:
+def collapse_zone(pdfs, fits, zone: str, restriction=None) -> tuple[np.ndarray, CollapseResult]:
     """One zone's data collapse: the pooled cloud and its master-curve fit.
 
-    ``fits`` are the per-lag fits of ``pdfs``. Without a given
-    ``scaling`` the beta law is fitted to them. Each lag's density is
-    scaled by its fit's grid mass before pooling, and ``restriction`` is
-    passed on to ``collapse_pdfs``.
+    ``fits`` are the per-lag fits of ``pdfs``, and the beta law is fitted
+    to them. Each lag's density is scaled by its fit's grid mass before
+    pooling, and ``restriction`` is passed on to ``collapse_pdfs``.
     """
-    if scaling is None:
-        scaling = fit_beta_law(fits)
+    scaling = fit_beta_law(fits)
     points = collapse_pdfs(pdfs, scaling, restriction=restriction,
                            grid_masses={f.lag: f.grid_mass for f in fits})
     return points, fit_collapsed(points, scaling, zone=zone)
@@ -405,22 +401,15 @@ def collapse_zone(pdfs, fits, zone: str, scaling: ScalingLaw | None = None,
 
 # --- serialization -----------------------------------------------------
 
-def lag_fit_payload(fit: LagFit) -> dict:
-    """The JSON fields of one lag's fit, as ``lag_fits.json`` lists them."""
-    return {
-        "lag": fit.lag,
-        "q": fit.params.q,
-        "beta": fit.params.beta,
-        "fit_residual": fit.fit_residual,
-        "n_samples": fit.n_samples,
-        "q_err": fit.q_err,
-        "beta_err": fit.beta_err,
-        "at_boundary": fit.at_boundary,
-    }
-
-
 def write_lag_fits_json(fits, path) -> None:
-    write_json(path, [lag_fit_payload(f) for f in fits])
+    """``lag_fits.json``: one object per lag fit (``LagFit`` says which
+    fields the run report holds instead)."""
+    write_json(path, [
+        {"lag": f.lag, "q": f.params.q, "beta": f.params.beta,
+         "fit_residual": f.fit_residual, "n_samples": f.n_samples, "q_err": f.q_err,
+         "beta_err": f.beta_err, "at_boundary": f.at_boundary}
+        for f in fits
+    ])
 
 
 def collapse_payload(result: CollapseResult) -> dict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from qdiff.io import read_array, read_sidecar, write_array, write_table
+from qdiff.io import write_array, write_table
 
 __all__ = [
     "EmpiricalPdf",
@@ -152,27 +152,6 @@ def write_pdf_csv(p: EmpiricalPdf, path) -> None:
     """
     write_array(path, np.column_stack([p.grid, p.density]),
                 {"lag": p.lag, "n_samples": p.n_samples, "bandwidth": p.bandwidth})
-
-
-def read_pdf_csv(path) -> EmpiricalPdf:
-    """Load a density written by ``write_pdf_csv``, with its sidecar.
-
-    The name predates the ``.npy`` format. The file must hold a 2-D float64
-    array of (x, density) rows, its sidecar must give the lag, and the rows
-    must make a valid EmpiricalPdf. Pickled content is never loaded. Every
-    defect raises ValueError naming the file.
-    """
-    data = read_array(path)
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2 or data.dtype != np.float64:
-        raise ValueError(f"{path}: expected a float64 array of shape (n >= 2, 2), "
-                         f"got {data.dtype!r} of shape {data.shape}")
-    meta = read_sidecar(path)
-    try:
-        return EmpiricalPdf(lag=float(meta["lag"]), grid=data[:, 0], density=data[:, 1],
-                            n_samples=int(meta.get("n_samples", 0)),
-                            bandwidth=float(meta.get("bandwidth", 0.0)))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_moment_csv(rows, path) -> None:

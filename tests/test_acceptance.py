@@ -18,7 +18,7 @@ import pytest
 from conftest import ks_distance, mixture_crossing, quad_cdf_oracle, quad_normalization
 from qdiff import pme
 from qdiff._loglog import loglog_fit
-from qdiff.cli import RunConfig, cmd_pipeline, cmd_synth, cmd_verify_pme, main
+from qdiff.cli import RunConfig, cmd_pipeline, cmd_synth, cmd_verify_pme
 from qdiff.collapse import collapse_pdfs, fit_beta_law, fit_collapsed, fit_qgauss
 from qdiff.density import kde, pdf_height
 from qdiff.ingest import lag_ladder
@@ -335,19 +335,6 @@ class TestCriterion10TwoRegimePipeline:
                f"alpha={res['alpha']:.4f} (|da|={da:.4f}<=0.05), "
                f"D={res['d_coef']:.5f} (|dD|/D={dd:.3f}<=0.10)")
         assert ok
-
-    def test_collapse_subcommand_pools_the_weak_zone(self, mixture_run, tmp_path):
-        # beside the run's partition.json, `qdiff collapse` keeps the lags
-        # past the bump's end, so the run's own weak alpha and D give back
-        # its weak block rather than a pool over the bump lags
-        weak = json.loads((mixture_run / "collapse.json").read_text())["weak"]
-        out = tmp_path / "col"
-        assert main(["collapse", "--pdfs", str(mixture_run / "pdfs"),
-                     "--alpha", repr(weak["alpha"]), "--d-coef", repr(weak["d_coef"]),
-                     "--out", str(out)]) == 0
-        assert json.loads((out / "collapse.json").read_text()) == weak
-        assert ((out / "collapsed.npy").read_bytes()
-                == (mixture_run / "collapsed_weak.npy").read_bytes())
 
     def test_second_moment_positive_on_every_lag(self, mixture_run):
         # the q = 2.73 component puts max|x| near 1e38; the moment must not

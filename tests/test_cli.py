@@ -129,11 +129,12 @@ class TestPipeline:
         rows = json.loads((small_run / "lag_fits.json").read_text())
         assert [r["lag"] for r in report] == [r["lag"] for r in rows]
         for entry, row in zip(report, rows):
-            assert set(entry) == {"lag", "nfev", "status", "start_q", "at_boundary"}
+            assert set(entry) == {"lag", "nfev", "status", "start_q", "at_boundary", "grid_mass"}
             assert entry["nfev"] > 0 and entry["status"] > 0
+            assert 0.0 < entry["grid_mass"] <= 1.0
             assert 1.0 < entry["start_q"] < 3.0
             assert entry["at_boundary"] == row["at_boundary"]
-            assert not {"nfev", "status", "start_q"} & set(row)
+            assert not {"nfev", "status", "start_q", "grid_mass"} & set(row)
         manifest = json.loads((small_run / "manifest.json").read_text())
         assert "run_report.json" not in {a["path"] for a in manifest["artifacts"]}
 
@@ -318,6 +319,18 @@ class TestConfig:
         assert "grid_points must be >= 3" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting", ["detrend_window=nan", "detrend_window=0",
+                                         "detrend_window=inf", "bandwidth=nan", "bandwidth=inf"])
+    def test_non_finite_setting_exits_1_before_any_stage(self, setting, tmp_path, capsys):
+        src = _write_series(tmp_path / "series.csv")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--input", str(src), "--out", str(out), "--set", "max_lag=100",
+                     "--set", "points_per_decade=2", "--set", "detrend_window=2000",
+                     "--set", setting]) == 1
+        key = setting.partition("=")[0]
+        assert f"{key} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_height_fit_ranges_follow_the_zone_times(self, small_ensembles, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("t_cross_start = 38  # alternate crossover reading\n")
@@ -342,11 +355,8 @@ class TestMainEntry:
         code = main(["pipeline", "--ensembles", str(small_ensembles),
                      "--out", str(out), "--set", "max_lag=100"])
         assert code == 0
-        pdf_files = sorted((out / "pdfs").glob("pdf_*.npy"))
-        fit_out = tmp_path / "fit.json"
-        assert main(["fit", "--pdf", str(pdf_files[0]), "--out", str(fit_out)]) == 0
-        fit = json.loads(fit_out.read_text())
-        assert 1.0 < fit["q"] < 3.0
+        fits = json.loads((out / "lag_fits.json").read_text())
+        assert len(fits) == 5 and all(1.0 < fit["q"] < 3.0 for fit in fits)
 
         d2_out = tmp_path / "d2.csv"
         assert main(["d2-grid", "--q", "1.71", "--alpha", "1.79", "--d-coef",
@@ -355,11 +365,17 @@ class TestMainEntry:
         rows = d2_out.read_text().splitlines()
         assert len(rows) == 12
 
-        col_out = tmp_path / "col"
-        assert main(["collapse", "--pdfs", str(out / "pdfs"), "--alpha", "1.79",
-                     "--d-coef", "0.1118", "--out", str(col_out)]) == 0
-        res = json.loads((col_out / "collapse.json").read_text())
-        assert abs(res["q"] - 1.71) < 0.1
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["fit", "--pdf", "{run}/pdfs/pdf_000010.npy"], id="fit"),
+        pytest.param(["collapse", "--pdfs", "{run}/pdfs", "--alpha", "1.79", "--d-coef",
+                      "0.1118", "--out", "{run}/col"], id="collapse"),
+    ])
+    def test_retired_subcommand_exits_1(self, small_run, capsys, argv):
+        # the pipeline writes every lag fit and collapse these re-derived
+        capsys.readouterr()
+        assert main([a.format(run=small_run) for a in argv]) == 1
+        assert f"invalid choice: '{argv[0]}'" in capsys.readouterr().err
+        assert not (small_run / "col").exists()
 
     @pytest.mark.parametrize("flag", ["--bump-q", "--bump-alpha", "--bump-d", "--bump-weight",
                                       "--bump-t-end", "--bump-sharpness", "--half-width",
@@ -417,6 +433,13 @@ class TestStageFailure:
         assert list(report["stage_s"]) == ["ensembles"]
 
 
+def _save_as_npz(path):
+    """Rewrite the array at ``path`` as an ``.npz`` archive under the same name."""
+    samples = np.load(path)
+    with open(path, "wb") as fh:
+        np.savez(fh, samples=samples)
+
+
 BAD_SAMPLE_FILES = [
     pytest.param(lambda p: np.save(p, np.ones((3, 2))), "1-D float64", id="two_dimensional"),
     pytest.param(lambda p: np.save(p, np.arange(10)), "1-D float64", id="integer"),
@@ -426,6 +449,7 @@ BAD_SAMPLE_FILES = [
                  "not a readable .npy", id="pickled_objects"),
     pytest.param(lambda p: np.save(p, np.array([0.1, np.inf])), "non-finite", id="non_finite"),
     pytest.param(lambda p: p.with_suffix(".json").unlink(), "sidecar", id="missing_sidecar"),
+    pytest.param(_save_as_npz, "is an .npz archive", id="npz"),
 ]
 
 
@@ -477,6 +501,15 @@ class TestSampleFilesInWorkers:
         spoil(bad)
         failed = self._fails_in_ensembles(ens, tmp_path)
         assert bad.name in failed and message in failed
+
+    def test_two_files_of_one_lag_are_refused_naming_both(self, small_ensembles, tmp_path):
+        ens = tmp_path / "ens"
+        shutil.copytree(small_ensembles, ens)
+        for suffix in (".npy", ".json"):
+            shutil.copy(ens / f"lag_000010{suffix}", ens / f"lag_000010_copy{suffix}")
+        failed = self._fails_in_ensembles(ens, tmp_path)
+        assert "lag_000010.npy and " in failed and "lag_000010_copy.npy both hold lag 10" in failed
+        assert not (tmp_path / "run" / "pdfs").exists()
 
     def test_text_sample_files_are_named_as_no_longer_read(self, small_ensembles, tmp_path):
         ens = tmp_path / "ens"
@@ -554,15 +587,7 @@ class TestWeakZoneLags:
 
 
 class TestStoredPdfs:
-    """Per-lag densities and collapse clouds are .npy arrays that ``fit``
-    and ``collapse`` read back; text pdfs are refused with the conversion."""
-
-    CONVERSION = 'np.save(path.with_suffix(".npy"), np.loadtxt(path, delimiter=",", skiprows=1))'
-
-    @staticmethod
-    def _collapse(pdfs, out) -> int:
-        return main(["collapse", "--pdfs", str(pdfs), "--alpha", "1.79",
-                     "--d-coef", "0.1118", "--out", str(out)])
+    """Per-lag densities and collapse clouds are .npy arrays."""
 
     def test_pipeline_writes_npy_grids_and_clouds(self, small_run):
         manifest = json.loads((small_run / "manifest.json").read_text())
@@ -579,115 +604,12 @@ class TestStoredPdfs:
         assert set(np.unique(cloud[:, 2]).tolist()) == lags
         assert not list(small_run.glob("collapsed_*.csv")) and not list(small_run.glob("pdfs/*.csv"))
 
-    def test_fit_and_collapse_read_the_pipeline_pdfs(self, small_run, tmp_path, capsys):
-        fit_out = tmp_path / "fit.json"
-        assert main(["fit", "--pdf", str(small_run / "pdfs" / "pdf_000010.npy"),
-                     "--out", str(fit_out)]) == 0
-        fit = json.loads(fit_out.read_text())
-        assert fit["lag"] == 10.0 and 1.0 < fit["q"] < 3.0
-        assert self._collapse(small_run / "pdfs", tmp_path / "col") == 0
-        cloud = np.load(tmp_path / "col" / "collapsed.npy", allow_pickle=False)
-        assert cloud.ndim == 2 and cloud.shape[1] == 3
-        assert 1.0 < json.loads((tmp_path / "col" / "collapse.json").read_text())["q"] < 3.0
-
-    def test_text_pdfs_exit_1_with_the_conversion(self, small_run, tmp_path, capsys):
-        pdfs = tmp_path / "pdfs"
-        shutil.copytree(small_run / "pdfs", pdfs)
-        for path in pdfs.glob("pdf_*.npy"):
-            np.savetxt(path.with_suffix(".csv"), np.load(path), fmt="%.17g", delimiter=",",
-                       header="x,density", comments="")
-            path.unlink()
-        capsys.readouterr()
-        assert self._collapse(pdfs, tmp_path / "col") == 1
-        err = capsys.readouterr().err
-        assert "no longer read" in err and self.CONVERSION in err
-        assert main(["fit", "--pdf", str(pdfs / "pdf_000010.csv")]) == 1
-        err = capsys.readouterr().err
-        assert "pdf_000010.csv" in err and self.CONVERSION in err
-        # the conversion the message gives restores the collapse, byte for byte
-        for path in pdfs.glob("pdf_*.csv"):
-            np.save(path.with_suffix(".npy"), np.loadtxt(path, delimiter=",", skiprows=1))
-        assert self._collapse(pdfs, tmp_path / "converted") == 0
-        assert self._collapse(small_run / "pdfs", tmp_path / "original") == 0
-        for name in ("collapse.json", "collapsed.npy"):
-            assert ((tmp_path / "converted" / name).read_bytes()
-                    == (tmp_path / "original" / name).read_bytes())
-
-    @pytest.mark.parametrize("command", ["fit", "collapse"])
-    def test_bad_pdf_file_exits_1_naming_it(self, small_run, tmp_path, capsys, command):
-        pdfs = tmp_path / "pdfs"
-        shutil.copytree(small_run / "pdfs", pdfs)
-        bad = pdfs / "pdf_000010.npy"
-        np.save(bad, np.load(bad)[:, 1])  # the density column alone
-        if command == "fit":
-            assert main(["fit", "--pdf", str(bad)]) == 1
-        else:
-            assert self._collapse(pdfs, tmp_path / "col") == 1
-        assert f"{bad}: expected a float64 array of shape (n >= 2, 2)" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["fit", "collapse"])
-    def test_pdf_without_its_sidecar_exits_1_naming_it(self, small_run, tmp_path, capsys,
-                                                        command):
-        pdfs = tmp_path / "pdfs"
-        shutil.copytree(small_run / "pdfs", pdfs)
-        bad = pdfs / "pdf_000010.npy"
-        bad.with_suffix(".json").unlink()
-        if command == "fit":
-            assert main(["fit", "--pdf", str(bad)]) == 1
-        else:
-            assert self._collapse(pdfs, tmp_path / "col") == 1
-            assert not (tmp_path / "col").exists()
-        err = capsys.readouterr().err
-        assert f"{bad}: " in err and "(no lag from sidecar pdf_000010.json)" in err
-
     @pytest.mark.parametrize("argv", [
-        pytest.param(["fit", "--pdf", "{run}/pdfs/pdf_000010.npy"], id="fit"),
         pytest.param(["verify-pme", "--m", "1.5", "--grid-points", "129", "--refinements", "1"],
                      id="verify_pme"),
     ])
-    def test_out_file_is_the_printed_json(self, small_run, tmp_path, capsys, argv):
+    def test_out_file_is_the_printed_json(self, tmp_path, capsys, argv):
         out = tmp_path / "out.json"
         capsys.readouterr()
-        assert main([a.format(run=small_run) for a in argv] + ["--out", str(out)]) == 0
+        assert main(argv + ["--out", str(out)]) == 0
         assert capsys.readouterr().out == out.read_text() + "\n"
-
-    def test_fit_prints_the_lag_fits_fields_and_grid_mass(self, small_run, capsys):
-        capsys.readouterr()
-        assert main(["fit", "--pdf", str(small_run / "pdfs" / "pdf_000010.npy")]) == 0
-        fit = json.loads(capsys.readouterr().out)
-        row = next(r for r in json.loads((small_run / "lag_fits.json").read_text())
-                   if r["lag"] == 10.0)
-        assert set(fit) == set(row) | {"grid_mass"}
-        assert fit["n_samples"] == row["n_samples"] == 30_000
-        assert 0.0 < fit["grid_mass"] <= 1.0
-
-    def test_fit_reproduces_every_lag_fits_row(self, small_run, capsys):
-        rows = json.loads((small_run / "lag_fits.json").read_text())
-        paths = sorted((small_run / "pdfs").glob("pdf_*.npy"))
-        assert len(paths) == len(rows) == 5
-        for path, row in zip(paths, rows):
-            capsys.readouterr()
-            assert main(["fit", "--pdf", str(path)]) == 0
-            fit = json.loads(capsys.readouterr().out)
-            assert fit.pop("grid_mass") <= 1.0
-            assert fit == row, path.name
-
-    def test_collapse_refuses_an_unreadable_partition(self, small_run, tmp_path, capsys):
-        run = tmp_path / "run"
-        shutil.copytree(small_run / "pdfs", run / "pdfs")
-        (run / "partition.json").write_text('{"t_bump_end": 80.0}')
-        capsys.readouterr()
-        assert main(["collapse", "--pdfs", str(run / "pdfs"), "--alpha", "1.79",
-                     "--d-coef", "0.1118", "--out", str(tmp_path / "col")]) == 1
-        assert f"{run / 'partition.json'}: not a readable partition" in capsys.readouterr().err
-
-    def test_collapse_with_the_run_scaling_reproduces_the_weak_block(self, small_run, tmp_path,
-                                                                     capsys):
-        assert json.loads((small_run / "run_report.json").read_text())["regimes"][
-            "n_lags_with_bump"] < 3  # so every lag is in the weak zone
-        weak = json.loads((small_run / "collapse.json").read_text())["weak"]
-        out = tmp_path / "col"
-        assert main(["collapse", "--pdfs", str(small_run / "pdfs"), "--alpha", repr(weak["alpha"]),
-                     "--d-coef", repr(weak["d_coef"]), "--out", str(out)]) == 0
-        assert json.loads((out / "collapse.json").read_text()) == weak
-        assert (out / "collapsed.npy").read_bytes() == (small_run / "collapsed_weak.npy").read_bytes()
