@@ -77,12 +77,12 @@ class RunConfig:
         src = Path(self.input or self.ensembles)
         if not src.exists():
             raise ValidationError(f"input path does not exist: {src}")
-        if not (0 < self.min_lag < self.max_lag):
-            raise ValidationError(f"need 0 < min_lag < max_lag, got ({self.min_lag}, {self.max_lag})")
+        try:
+            ing.check_lag_ladder(self.min_lag, self.max_lag, self.points_per_decade)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
         if self.grid_points < 3:
             raise ValidationError(f"grid_points must be >= 3, got {self.grid_points}")
-        if self.points_per_decade < 1:
-            raise ValidationError("points_per_decade must be >= 1")
         if not 0 <= self.bandwidth < math.inf:
             raise ValidationError(f"bandwidth must be finite and >= 0, got {self.bandwidth!r}")
         if not 0 < self.detrend_window < math.inf:
@@ -614,7 +614,7 @@ def cmd_verify_pme(
         # Power tails reach the edges for m < 1; for m >= 1 the field there is ~0.
         closure = {"bc": "zero-flux"}
         if m < 1.0:
-            bv = lambda t, ends=grid[[0, -1]]: tuple(pme.barenblatt(ends, t, m, PME_C_INT))
+            bv = lambda times, ends=grid[[0, -1]]: pme.barenblatt(ends, times, m, PME_C_INT)
             closure = {"bc": "dirichlet", "boundary_values": bv}
         # TR-BDF2 is second order in time, like the grid in space
         res = pme.solve_pme(field, t2, log_step=2e-3 / 2**level, **closure)

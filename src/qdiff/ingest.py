@@ -25,6 +25,7 @@ __all__ = [
     "IndexSeries",
     "ReturnEnsemble",
     "SchemaError",
+    "check_lag_ladder",
     "detrend",
     "gap_report",
     "lag_ladder",
@@ -409,12 +410,19 @@ def detrend(series: IndexSeries, window: float = DEFAULT_DETREND_WINDOW) -> Inde
     return out
 
 
-def lag_ladder(min_lag: float, max_lag: float, points_per_decade: int) -> np.ndarray:
-    """Logarithmically spaced integer lags including both endpoints."""
-    if not (0 < min_lag < max_lag):
-        raise ValueError(f"need 0 < min_lag < max_lag, got ({min_lag!r}, {max_lag!r})")
+def check_lag_ladder(min_lag: float, max_lag: float, points_per_decade: int) -> None:
+    """Raise ValueError unless ``lag_ladder`` can build a ladder from these."""
+    if not (0 < min_lag < max_lag < math.inf):
+        raise ValueError(f"need 0 < min_lag < max_lag < inf, got ({min_lag!r}, {max_lag!r})")
+    if round(min_lag) < 1:
+        raise ValueError(f"min_lag={min_lag!r} rounds to a lag below 1")
     if points_per_decade < 1:
         raise ValueError(f"points_per_decade must be >= 1, got {points_per_decade!r}")
+
+
+def lag_ladder(min_lag: float, max_lag: float, points_per_decade: int) -> np.ndarray:
+    """Logarithmically spaced integer lags including both endpoints."""
+    check_lag_ladder(min_lag, max_lag, points_per_decade)
     decades = math.log10(max_lag / min_lag)
     n = max(2, int(round(decades * points_per_decade)) + 1)
     raw = np.geomspace(min_lag, max_lag, n)

@@ -13,8 +13,10 @@ this sign is the one that actually solves the equation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -52,11 +54,13 @@ def profile_coef(m: float) -> float:
     return (1.0 - m) / (2.0 * m * (m + 1.0))
 
 
-def barenblatt(x, t: float, m: float, c_int: float):
+def barenblatt(x, t, m: float, c_int: float):
     """Self-similar source solution of u_t = (u^m)_xx.
 
     u = t^(-1/(m+1)) (C + b xi^2)^(1/(m-1)) with xi = x t^(-1/(m+1)) and
-    b = (1 - m)/(2 m (m + 1)). Branches by exponent:
+    b = (1 - m)/(2 m (m + 1)). ``t`` is a scalar or a 1-d array of times;
+    an array gives one row per time, of shape ``t.shape + x.shape``, each
+    row to the bit what the scalar ``t`` gives. Branches by exponent:
 
     * 0 < m < 1 (fast diffusion): b > 0, positive for all x with power
       tails ~ |x|^(2/(m-1)).
@@ -66,7 +70,10 @@ def barenblatt(x, t: float, m: float, c_int: float):
       diverging at the edge; evaluations outside return inf.
     * m = 1 uses the heat-kernel branch with total mass c_int.
     """
-    if not (t > 0.0):
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a scalar or 1-d, got shape {times.shape}")
+    if not (times > 0.0).all():
         raise ValueError(f"need t > 0, got {t!r}")
     if not (-1.0 < m < 2.0):
         raise ValueError(f"exponent m={m!r} outside the supported window (-1, 2)")
@@ -75,11 +82,18 @@ def barenblatt(x, t: float, m: float, c_int: float):
     if not (c_int > 0.0):
         raise ValueError(f"integration constant must be positive, got {c_int!r}")
     x = np.asarray(x, dtype=float)
+    if times.ndim:  # each time against all of x
+        t = times.reshape(times.shape + (1,) * x.ndim)
     if m == 1.0:
-        out = c_int * np.exp(-x * x / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+        out = c_int * np.exp(-x * x / (4.0 * t)) / np.sqrt(4.0 * math.pi * t)
         return out if out.ndim else float(out)
     beta = 1.0 / (m + 1.0)
-    xi = x * t**-beta
+    if times.ndim:
+        # Python float powers, as for a scalar t: numpy's array power differs in the last bit
+        scale = np.array([s**-beta for s in times.tolist()]).reshape(t.shape)
+    else:
+        scale = t**-beta
+    xi = x * scale
     bracket = c_int + profile_coef(m) * xi * xi
     expo = 1.0 / (m - 1.0)
     safe = np.where(bracket > 0.0, bracket, 1.0)
@@ -87,7 +101,7 @@ def barenblatt(x, t: float, m: float, c_int: float):
         out = np.where(bracket > 0.0, safe**expo, 0.0)
     else:
         out = np.where(bracket > 0.0, safe**expo, np.inf)
-    out = t**-beta * out
+    out = scale * out
     return out if out.ndim else float(out)
 
 
@@ -308,12 +322,15 @@ def _face_diffusivity(v, m):
     vf = np.maximum(v, U_FLOOR)
     w = vf**m
     dv = vf[1:] - vf[:-1]
-    dw = w[1:] - w[:-1]
-    mid = 0.5 * (vf[:-1] + vf[1:])
-    d_face = dw / np.where(dv == 0.0, 1.0, dv)
-    # The negated test sends NaN to the tangent too.
-    flat = ~(np.abs(dv) > 1e-14 * mid)
-    if flat.any():
+    d_face = w[1:] - w[:-1]
+    np.divide(d_face, dv, out=d_face, where=dv != 0.0)  # dv == 0 faces are flat
+    mid = vf[:-1] + vf[1:]
+    mid *= 0.5
+    # Steep faces keep the secant; the rest, NaN included, take the tangent.
+    # w is spent, so its tail holds the threshold.
+    steep = np.abs(dv, out=dv) > np.multiply(mid, 1e-14, out=w[1:])
+    if not steep.all():
+        flat = ~steep
         d_face[flat] = m * mid[flat] ** (m - 1.0)
     return d_face
 
@@ -321,39 +338,47 @@ def _face_diffusivity(v, m):
 def _apply_k(d_face, u, dx):
     """K u with the half-cell zero-flux rows at both ends, which keep the
     trapezoid mass of K u zero; a dirichlet solve overwrites those rows."""
-    flux = d_face * (u[1:] - u[:-1]) / (dx * dx)
+    flux = u[1:] - u[:-1]
+    flux *= d_face
+    flux /= dx * dx
     out = np.empty_like(u)
-    out[1:-1] = flux[1:] - flux[:-1]
+    np.subtract(flux[1:], flux[:-1], out=out[1:-1])
     out[0] = 2.0 * flux[0]
     out[-1] = -2.0 * flux[-1]
     return out
 
 
 def _stage_solve(d_face, rhs, a, dx, bc, bdry):
-    """Solve (I - a K) x = rhs for the K of ``d_face``, one implicit stage."""
+    """Solve (I - a K) x = rhs for the K of ``d_face``, one implicit stage.
+
+    The rows of one (4, n) buffer hold the sub-diagonal, diagonal,
+    super-diagonal and right-hand side; both off-diagonals end in a 0 cell.
+    """
     n = rhs.size
     lam = a / (dx * dx)
-    diag = np.ones(n)
-    lower = np.zeros(n - 1)
-    upper = np.zeros(n - 1)
-    rhs = rhs.copy()
-    diag[1:-1] += lam * (d_face[:-1] + d_face[1:])
-    lower[:-1] = -lam * d_face[:-1]
-    upper[1:] = -lam * d_face[1:]
+    bands = np.empty((4, n))
+    bands[0, -1] = bands[2, -1] = 0.0
+    lower, diag, upper, x = bands[0, :-1], bands[1], bands[2, :-1], bands[3]
+    np.multiply(d_face, -lam, out=lower)
+    upper[...] = lower
+    inner = diag[1:-1]
+    np.add(d_face[:-1], d_face[1:], out=inner)
+    inner *= lam
+    inner += 1.0
+    x[...] = rhs
     if bc == "zero-flux":
-        diag[0] += 2.0 * lam * d_face[0]
+        diag[0] = 1.0 + 2.0 * lam * d_face[0]
         upper[0] = -2.0 * lam * d_face[0]
-        diag[-1] += 2.0 * lam * d_face[-1]
+        diag[-1] = 1.0 + 2.0 * lam * d_face[-1]
         lower[-1] = -2.0 * lam * d_face[-1]
     else:
-        upper[0] = 0.0
-        lower[-1] = 0.0
-        rhs[0], rhs[-1] = bdry
-    # LAPACK gtsv, the routine solve_banded((1, 1), ...) ends in, with its checks.
-    for arr in (lower, diag, upper, rhs):
-        if not np.isfinite(arr).all():
-            raise ValueError("array must not contain infs or NaNs")
-    *_, x, info = scipy.linalg.lapack.dgtsv(lower, diag, upper, rhs, True, True, True, True)
+        diag[0] = diag[-1] = 1.0
+        upper[0] = lower[-1] = 0.0
+        x[0], x[-1] = bdry
+    # LAPACK gtsv, the routine solve_banded((1, 1), ...) ends in, with its check.
+    if not np.isfinite(bands).all():
+        raise ValueError("array must not contain infs or NaNs")
+    *_, x, info = scipy.linalg.lapack.dgtsv(lower, diag, upper, x, True, True, True, True)
     if info > 0:
         raise scipy.linalg.LinAlgError("singular matrix")
     if info < 0:
@@ -374,15 +399,46 @@ def _step_tr_bdf2(u, slope, dx, dt, m, bc, bdry_mid, bdry_end):
     Each stage freezes K at the state extrapolated to the time it centres on,
     which keeps the linearized step second order in time: the trapezoid at
     t + gamma dt/2, from ``slope`` = (u_n - u_{n-1})/dt_{n-1} (u_n itself on
-    the first step), and BDF2 at t + dt, through the stage value.
+    the first step), and BDF2 at t + dt, through the stage value. The
+    arithmetic is in place, each rounding with the operands of
+    u + a K(v) u and NEW u* - OLD u_n.
     """
     a = 0.5 * GAMMA * dt
-    v = u if slope is None else u + a * slope
+    if slope is None:
+        v = u
+    else:
+        v = slope * a
+        v += u
     d_face = _face_diffusivity(v, m)
-    u_mid = _stage_solve(d_face, u + a * _apply_k(d_face, u, dx), a, dx, bc, bdry_mid)
-    v = u + (u_mid - u) / GAMMA
-    rhs = _BDF2_NEW * u_mid - _BDF2_OLD * u
-    return _stage_solve(_face_diffusivity(v, m), rhs, _BDF2_IMPLICIT * dt, dx, bc, bdry_end)
+    rhs = _apply_k(d_face, u, dx)
+    rhs *= a
+    rhs += u
+    u_mid = _stage_solve(d_face, rhs, a, dx, bc, bdry_mid)
+    v = u_mid - u
+    v /= GAMMA
+    v += u
+    d_face = _face_diffusivity(v, m)
+    rhs = u_mid
+    rhs *= _BDF2_NEW
+    rhs -= np.multiply(u, _BDF2_OLD, out=v)
+    return _stage_solve(d_face, rhs, _BDF2_IMPLICIT * dt, dx, bc, bdry_end)
+
+
+def _schedule(t, t_end, log_step):
+    """The geometric steps dt = log_step * t from t to ``t_end``: each
+    step's dt, and its two stage times t + GAMMA dt and t + dt in order.
+    At most ``MAX_STEPS`` steps."""
+    dts = array("d")
+    times = array("d")
+    while t < t_end:
+        if len(dts) >= MAX_STEPS:
+            raise SolverError(f"step budget exhausted at t={t!r} (of {t_end!r})")
+        dt = min(log_step * t if t > 0.0 else log_step, t_end - t)
+        dts.append(dt)
+        times.append(t + GAMMA * dt)
+        times.append(t + dt)
+        t += dt
+    return dts, np.frombuffer(times)
 
 
 def solve_pme(
@@ -402,10 +458,13 @@ def solve_pme(
     are taken.
 
     ``bc`` is 'zero-flux' (conservative; mass drift is checked against
-    ``MASS_TOL``) or 'dirichlet' with ``boundary_values(t) -> (lo, hi)``
-    pinning the edges (mass legitimately crosses the boundary there, so
-    only the drift is reported, not enforced). m <= 0 is rejected: the
-    literal equation has negative diffusivity there and an initial-value
+    ``MASS_TOL``) or 'dirichlet', which pins the edges (mass legitimately
+    crosses the boundary there, so only the drift is reported, not
+    enforced). The schedule depends on t alone, so ``boundary_values`` is
+    called once, with the 1-d array of every stage time (t + GAMMA dt,
+    t + dt for each step), and returns the (len(times), 2) array of the
+    (lo, hi) edge values at those times. m <= 0 is rejected: the literal
+    equation has negative diffusivity there and an initial-value
     evolution is ill-posed.
     """
     if initial.m <= 0.0:
@@ -418,7 +477,7 @@ def solve_pme(
     if bc not in ("zero-flux", "dirichlet"):
         raise ValueError(f"unknown boundary closure {bc!r}")
     if bc == "dirichlet" and boundary_values is None:
-        raise ValueError("dirichlet closure needs boundary_values(t) -> (lo, hi)")
+        raise ValueError("dirichlet closure needs boundary_values(times) -> (len(times), 2) array")
 
     u = initial.u.copy()
     dx = initial.dx
@@ -426,33 +485,35 @@ def solve_pme(
     t = initial.time
     mass0 = initial.mass
 
-    def bdry(s):
-        return boundary_values(s) if boundary_values is not None else None
+    dts, times = _schedule(t, t_end, log_step)
+    edges = itertools.repeat((None, None))
+    if bc == "dirichlet":
+        values = np.asarray(boundary_values(times), dtype=float)
+        if values.shape != (times.size, 2):
+            raise ValueError(f"boundary_values(times) must return a ({times.size}, 2) "
+                             f"array, got shape {values.shape}")
+        edges = values.reshape(-1, 2, 2)
 
     floor_hits = 0
-    steps = 0
     slope = None
-    while t < t_end:
-        if steps >= MAX_STEPS:
-            raise SolverError(f"step budget exhausted at t={t!r} (of {t_end!r})")
-        dt = min(log_step * t if t > 0.0 else log_step, t_end - t)
+    for dt, (bdry_mid, bdry_end) in zip(dts, edges):
         old = u
-        u = _step_tr_bdf2(u, slope, dx, dt, m, bc, bdry(t + GAMMA * dt), bdry(t + dt))
-        below = u < 0.0
-        if below.any():
-            floor_hits += int(np.sum(below))
-            u = np.maximum(u, 0.0)
+        u = _step_tr_bdf2(u, slope, dx, dt, m, bc, bdry_mid, bdry_end)
+        # min is NaN when u holds one, so a NaN skips the clip and fails below
+        if u.min() < 0.0:
+            floor_hits += int(np.count_nonzero(u < 0.0))
+            np.maximum(u, 0.0, out=u)
         if not np.isfinite(u).all():
             raise SolverError(f"non-finite field at t={t + dt!r}; step too large")
-        slope = (u - old) / dt
+        slope = u - old
+        slope /= dt
         t += dt
-        steps += 1
 
     field = PmeField(grid=initial.grid, u=u, time=t, m=m)
     drift = abs(field.mass - mass0) / mass0 if mass0 > 0.0 else 0.0
     if bc == "zero-flux" and drift > MASS_TOL:
         raise SolverError(f"mass drift {drift!r} exceeds tolerance {MASS_TOL!r}")
-    return SolveResult(field=field, mass_drift=drift, floor_hits=floor_hits, n_steps=steps)
+    return SolveResult(field=field, mass_drift=drift, floor_hits=floor_hits, n_steps=len(dts))
 
 
 def solve_governing(
@@ -483,12 +544,13 @@ def solve_governing(
     if bc == "dirichlet":
         lo, hi = initial.grid[0], initial.grid[-1]
 
-        def boundary_values(tau):
-            t_phys = float(params.t_of_tau(tau))
-            return (
-                float(governing_profile(lo, t_phys, params)),
-                float(governing_profile(hi, t_phys, params)),
-            )
+        def boundary_values(taus):
+            # one 0-d evaluation per time and edge: the array path rounds differently
+            out = np.empty((taus.size, 2))
+            for row, tau in zip(out, taus.tolist()):
+                t_phys = float(params.t_of_tau(tau))
+                row[:] = [governing_profile(edge, t_phys, params) for edge in (lo, hi)]
+            return out
 
     shifted = PmeField(grid=initial.grid, u=initial.u, time=tau0, m=initial.m)
     result = solve_pme(shifted, tau1, bc=bc, boundary_values=boundary_values,

@@ -331,6 +331,20 @@ class TestConfig:
         assert f"{key} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("max_lag=inf", "max_lag < inf"),
+        ("min_lag=0.5", "rounds to a lag below 1"),
+        ("min_lag=1e-300", "rounds to a lag below 1"),
+    ])
+    def test_lag_bound_without_a_ladder_exits_1_before_any_stage(self, setting, message,
+                                                                  tmp_path, capsys):
+        src = _write_series(tmp_path / "series.csv")
+        out = tmp_path / "run"
+        assert main(["pipeline", "--input", str(src), "--out", str(out),
+                     "--set", "points_per_decade=2", "--set", setting]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_height_fit_ranges_follow_the_zone_times(self, small_ensembles, tmp_path, capsys):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text("t_cross_start = 38  # alternate crossover reading\n")

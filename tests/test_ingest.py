@@ -1,4 +1,5 @@
 import contextlib
+import math
 import re
 import tempfile
 import time
@@ -467,6 +468,13 @@ class TestLagLadder:
     def test_bad_points_per_decade(self):
         with pytest.raises(ValueError):
             lag_ladder(1, 100, 0)
+
+    @pytest.mark.parametrize("min_lag, max_lag", [
+        (1.0, math.inf), (1.0, math.nan), (0.5, 10.0), (1e-300, 10.0),
+    ])
+    def test_bound_without_a_ladder(self, min_lag, max_lag):
+        with pytest.raises(ValueError):
+            lag_ladder(min_lag, max_lag, 3)
 
 
 class TestTypes:

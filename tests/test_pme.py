@@ -21,6 +21,7 @@ from qdiff.pme import (
     solve_pme,
     _face_diffusivity,
     _stage_solve,
+    _step_tr_bdf2,
 )
 from qdiff.qgauss import ScalingLaw, c_q, selfsim_pdf
 
@@ -33,10 +34,11 @@ def barenblatt_field(grid, t, m, c=1.0):
 
 
 def analytic_boundary(grid, m, c=1.0):
-    return lambda t: (
-        float(barenblatt(grid[0], t, m, c)),
-        float(barenblatt(grid[-1], t, m, c)),
-    )
+    """boundary_values(times) of the analytic edges, each value from a scalar evaluation."""
+    return lambda times: np.array([
+        (float(barenblatt(grid[0], t, m, c)), float(barenblatt(grid[-1], t, m, c)))
+        for t in times.tolist()
+    ])
 
 
 class TestBarenblatt:
@@ -100,6 +102,15 @@ class TestBarenblatt:
         u_t = (wrong(x, 1.0 + h) - wrong(x, 1.0 - h)) / (2 * h)
         w_xx = (wrong(x + h, 1.0) ** m - 2 * wrong(x, 1.0) ** m + wrong(x - h, 1.0) ** m) / h**2
         assert np.max(np.abs(u_t - w_xx)) > 0.1
+
+    @pytest.mark.parametrize("m", [0.29, 1.0, 1.5, -0.73])
+    def test_time_array_rows_equal_scalar_times(self, m):
+        x = np.array([-3.0, -0.4, 0.0, 0.7, 2.9])
+        times = 1.0 + np.cumsum(np.full(9, 0.0137))
+        rows = barenblatt(x, times, m, 1.3)
+        assert rows.shape == (9, 5)
+        for row, t in zip(rows, times.tolist()):
+            assert np.array_equal(row, barenblatt(x, t, m, 1.3))
 
     def test_domain_guards(self):
         with pytest.raises(ValueError):
@@ -212,6 +223,17 @@ class TestSolvePme:
         f0 = PmeField(grid=grid, u=u0, time=1.0, m=0.29)
         res = solve_pme(f0, 1.2, bc="zero-flux", log_step=1e-3)
         assert res.mass_drift < 1e-6
+
+    def test_floor_clips_negative_values(self):
+        # the zero run next to a steep flank undershoots below 0 under m < 1
+        grid = np.linspace(-30.0, 30.0, 257)
+        u0 = plateau_field(grid)
+        f0 = PmeField(grid=grid, u=u0, time=1.0, m=0.29)
+        edges = u0[[0, -1]]
+        res = solve_pme(f0, 1.2, bc="dirichlet", log_step=1e-3,
+                        boundary_values=lambda times: np.tile(edges, (times.size, 1)))
+        assert res.floor_hits > 0
+        assert np.all(res.field.u >= 0.0)
 
     def test_compact_support_front(self):
         m, c = 1.5, 1.0
@@ -391,24 +413,39 @@ class TestDiffusionCoefficient:
             black_scholes_d2(1.0, 0.0, gp)
 
 
-def banded_reference_step(u, dx, dt, m, bc, bdry):
-    """The stage system (I - dt K(u)) x = u assembled as a (3, n) band for
-    solve_banded((1, 1), ...)."""
-    n = u.size
-    uf = np.maximum(u, U_FLOOR)
-    w = uf**m
-    du = np.diff(uf)
+def reference_face_diffusivity(v, m):
+    """Secant face diffusivities, the tangent on flat faces, all out of place."""
+    vf = np.maximum(v, U_FLOOR)
+    w = vf**m
+    dv = np.diff(vf)
     dw = np.diff(w)
-    mid = 0.5 * (uf[:-1] + uf[1:])
-    d_face = np.where(np.abs(du) > 1e-14 * mid, dw / np.where(du == 0.0, 1.0, du),
-                      m * mid ** (m - 1.0))
+    mid = 0.5 * (vf[:-1] + vf[1:])
+    return np.where(np.abs(dv) > 1e-14 * mid, dw / np.where(dv == 0.0, 1.0, dv),
+                    m * mid ** (m - 1.0))
+
+
+def reference_apply_k(d_face, u, dx):
+    """K u with the half-cell zero-flux rows at both ends."""
+    flux = d_face * (u[1:] - u[:-1]) / (dx * dx)
+    return np.concatenate(([2.0 * flux[0]], flux[1:] - flux[:-1], [-2.0 * flux[-1]]))
+
+
+def banded_reference_step(u, dx, dt, m, bc, bdry):
+    """The stage system (I - dt K(u)) x = u by ``banded_reference_solve``."""
+    return banded_reference_solve(reference_face_diffusivity(u, m), u, dt, dx, bc, bdry)
+
+
+def banded_reference_solve(d_face, rhs, dt, dx, bc, bdry):
+    """The stage system (I - dt K) x = rhs assembled as a (3, n) band for
+    solve_banded((1, 1), ...)."""
+    n = rhs.size
     lam = dt / (dx * dx)
     band = np.zeros((3, n))
     band[1] = 1.0
     band[1, 1:-1] += lam * (d_face[:-1] + d_face[1:])
     band[0, 2:] = -lam * d_face[1:]
     band[2, :-2] = -lam * d_face[:-1]
-    rhs = u.copy()
+    rhs = rhs.copy()
     if bc == "zero-flux":
         band[1, 0] += 2.0 * lam * d_face[0]
         band[0, 1] = -2.0 * lam * d_face[0]
@@ -417,6 +454,20 @@ def banded_reference_step(u, dx, dt, m, bc, bdry):
     else:
         rhs[0], rhs[-1] = bdry
     return solve_banded((1, 1), band, rhs)
+
+
+def reference_tr_bdf2(u, slope, dx, dt, m, bc, bdry_mid, bdry_end):
+    """One TR-BDF2 step written out of place, each stage by solve_banded: the
+    trapezoid rhs u + a K(v) u, then the BDF2 combination NEW u* - OLD u."""
+    a = 0.5 * pme.GAMMA * dt
+    v = u if slope is None else u + a * slope
+    d_face = reference_face_diffusivity(v, m)
+    u_mid = banded_reference_solve(d_face, u + a * reference_apply_k(d_face, u, dx), a, dx,
+                                   bc, bdry_mid)
+    v = u + (u_mid - u) / pme.GAMMA
+    rhs = pme._BDF2_NEW * u_mid - pme._BDF2_OLD * u
+    return banded_reference_solve(reference_face_diffusivity(v, m), rhs,
+                                  pme._BDF2_IMPLICIT * dt, dx, bc, bdry_end)
 
 
 def plateau_field(grid):
@@ -451,10 +502,40 @@ class TestImplicitStep:
             want = banded_reference_step(u, dx, dt, m, bc, bdry)
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("bc", ["dirichlet", "zero-flux"])
+    @pytest.mark.parametrize("m", [0.29, 0.6, 1.5])
+    @pytest.mark.parametrize("shape", ["barenblatt", "plateau"])
+    @pytest.mark.parametrize("with_slope", [False, True])
+    def test_step_bit_identical_to_reference(self, m, bc, shape, with_slope):
+        grid = self.GRID
+        dx = grid[1] - grid[0]
+        if shape == "barenblatt":
+            u = np.asarray(barenblatt(grid, 1.0, m, 1.0))
+        else:
+            u = plateau_field(grid)
+        slope = -0.3 * u + 0.01 if with_slope else None
+        bdry_mid = (1.01 * u[0], 0.99 * u[-1] + 1e-6)
+        bdry_end = (1.02 * u[0], 0.98 * u[-1] + 2e-6)
+        for dt in (2e-4, 0.05, 3.0):
+            got = _step_tr_bdf2(u, slope, dx, dt, m, bc, bdry_mid, bdry_end)
+            want = reference_tr_bdf2(u, slope, dx, dt, m, bc, bdry_mid, bdry_end)
+            assert np.array_equal(got, want)
+
     def test_non_finite_boundary_value_rejected(self):
         f0 = barenblatt_field(np.linspace(-20, 20, 129), 1.0, 0.29)
         with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_pme(f0, 1.1, bc="dirichlet", boundary_values=lambda t: (np.inf, 0.0))
+            solve_pme(f0, 1.1, bc="dirichlet",
+                      boundary_values=lambda times: np.tile([np.inf, 0.0], (times.size, 1)))
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(lambda times: (0.0, 0.0), id="one_pair"),
+        pytest.param(lambda times: np.zeros((times.size, 3)), id="three_columns"),
+        pytest.param(lambda times: np.zeros((times.size // 2, 2)), id="one_row_per_step"),
+    ])
+    def test_wrong_boundary_shape_rejected(self, values):
+        f0 = barenblatt_field(np.linspace(-20, 20, 129), 1.0, 0.29)
+        with pytest.raises(ValueError, match=r"boundary_values\(times\) must return"):
+            solve_pme(f0, 1.1, bc="dirichlet", boundary_values=values)
 
     def test_singular_system_rejected(self):
         # lam = dt/dx^2 = -1/4 on a constant field makes I + lam K singular
