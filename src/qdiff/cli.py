@@ -348,7 +348,7 @@ def _stage_regimes(cfg, out, state, record):
     else:
         a, nu = reg.DEFAULT_BOUNDARY_A, reg.DEFAULT_BOUNDARY_NU
     t_bump_end = reg.detect_bump_end([t for t, _ in rows], [b for _, b in rows])
-    # a bump that dissolves before the crossover starts cannot end zone B;
+    # a bump that dissolves before the crossover starts cannot end it;
     # keep the configured end and record the rejected detection
     rejected = None
     if t_bump_end is not None and t_bump_end <= cfg.t_cross_start:
@@ -732,7 +732,10 @@ def _run(args) -> int:
         return 0
 
     if args.command == "synth":
-        lags = ing.lag_ladder(args.min_lag, args.max_lag, args.points_per_decade)
+        try:
+            lags = ing.lag_ladder(args.min_lag, args.max_lag, args.points_per_decade)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
         out = cmd_synth(
             args.out, args.q, args.alpha, args.d_coef, lags, args.n_per_lag,
             args.seed, mode=args.mode,

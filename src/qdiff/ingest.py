@@ -416,6 +416,8 @@ def check_lag_ladder(min_lag: float, max_lag: float, points_per_decade: int) -> 
         raise ValueError(f"need 0 < min_lag < max_lag < inf, got ({min_lag!r}, {max_lag!r})")
     if round(min_lag) < 1:
         raise ValueError(f"min_lag={min_lag!r} rounds to a lag below 1")
+    if round(max_lag) > np.iinfo(np.int64).max:
+        raise ValueError(f"max_lag={max_lag!r} rounds to a lag beyond int64")
     if points_per_decade < 1:
         raise ValueError(f"points_per_decade must be >= 1, got {points_per_decade!r}")
 

@@ -57,8 +57,7 @@ class RegimePartition:
     """Zone geometry: boundary curve |x| = a (t/t0)^nu plus crossover times.
 
     Zone A (strong super-diffusion): inside the curve, t < t_cross_start.
-    Zone B (crossover): inside the curve, t_cross_start <= t < t_bump_end.
-    Zone C (weak super-diffusion): everywhere else.
+    Zone C (weak super-diffusion): t >= t_bump_end, the bump gone.
     """
 
     a: float
@@ -83,15 +82,6 @@ class RegimePartition:
         """Half-width of the bump domain at time t."""
         return self.a * (np.asarray(t, dtype=float) / self.t0) ** self.nu
 
-    def classify(self, x, t: float) -> np.ndarray:
-        """Zone labels 'A' | 'B' | 'C' for points x at time t."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        labels = np.full(x.shape, "C", dtype="<U1")
-        if t < self.t_bump_end:
-            inside = np.abs(x) < self.boundary(t)
-            labels[inside] = "A" if t < self.t_cross_start else "B"
-        return labels
-
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -112,11 +102,10 @@ class PowerLawFit:
 
 @dataclass(frozen=True)
 class BoundaryFit:
-    """Power-law boundary |x| = a (t/t0)^nu with standard errors."""
+    """Power-law boundary |x| = a t^nu with standard errors."""
 
     a: float
     nu: float
-    t0: float
     a_err: float
     nu_err: float
     residual: float
@@ -127,21 +116,15 @@ def _savgol_curvature(y: np.ndarray, delta: float) -> np.ndarray:
     """Cubic Savitzky-Golay second derivative of ``y`` over ``SG_WINDOW`` points.
 
     The steps, and so the bits, of ``savgol_filter(y, SG_WINDOW, 3, deriv=2,
-    delta=delta)`` in its ``"interp"`` mode: least-squares filter taps
-    convolved over the interior, and a cubic fitted to the first and to the
-    last ``SG_WINDOW`` points for the ``SG_WINDOW // 2`` values at each end.
+    delta=delta)`` away from the ends: least-squares filter taps convolved
+    with ``y``. The first and last ``SG_WINDOW // 2`` values see the zero
+    padding past the ends and are meaningless.
     """
     half = SG_WINDOW // 2
     powers = np.arange(half, -half - 1, -1.0) ** np.arange(4.0)[:, None]
     rhs = np.array([0.0, 0.0, 2.0 / delta**2, 0.0])
     taps = scipy.linalg.lstsq(powers, rhs, cond=np.finfo(float).eps * SG_WINDOW)[0]
-    curv = scipy.ndimage.convolve1d(y, taps, mode="constant")
-    t = np.arange(SG_WINDOW, dtype=float)
-    head = np.polyder(np.polyfit(t, y[:SG_WINDOW], 3), 2)
-    tail = np.polyder(np.polyfit(t, y[-SG_WINDOW:], 3), 2)
-    curv[:half] = np.polyval(head, t[:half]) / delta**2
-    curv[-half:] = np.polyval(tail, t[-half:]) / delta**2
-    return curv
+    return scipy.ndimage.convolve1d(y, taps, mode="constant")
 
 
 def _side_profile(x: np.ndarray, dens: np.ndarray):
@@ -170,7 +153,7 @@ def _side_profile(x: np.ndarray, dens: np.ndarray):
     if not filled.all():
         logp[~filled] = np.interp(centers[~filled], centers[filled], logp[filled])
     curv = _savgol_curvature(logp, ds)
-    margin = SG_WINDOW // 2 + 1  # filter output unreliable near the ends
+    margin = SG_WINDOW // 2 + 1  # past the filter's meaningless ends
     sl = slice(margin, N_LOG_GRID - margin)
     return centers[sl], logp[sl], curv[sl]
 
@@ -208,10 +191,7 @@ def _two_component_crossing(log_pos, logp, x_spike: float) -> float | None:
     slope-break geometry alone mislocates it because the regimes never
     fully separate.
     """
-    step = max(1, log_pos.size // 600)
-    s = log_pos[::step]
-    y = logp[::step]
-    x2 = np.exp(2.0 * s)
+    x2 = np.exp(2.0 * log_pos)
     x_max = math.exp(float(log_pos[-1]))
 
     def model(theta):
@@ -231,7 +211,7 @@ def _two_component_crossing(log_pos, logp, x_spike: float) -> float | None:
             theta0 = [0.0, 0.0, q1_0, math.log(core_factor / x_spike**2),
                       q2_0, math.log(9.0 / x_max**2)]
             try:
-                sol = scipy.optimize.least_squares(lambda th: model(th) - y, theta0,
+                sol = scipy.optimize.least_squares(lambda th: model(th) - logp, theta0,
                                                    bounds=(lo, hi), max_nfev=2000)
             except ValueError:
                 continue
@@ -273,7 +253,7 @@ def bump_boundary(p: EmpiricalPdf) -> tuple[float, float] | None:
     side gates detection; the reported edge is then refined by a local
     two-component decomposition of the side profile, whose fitted
     component crossing is the operational meaning of "edge of the bump".
-    Both sides must fire.
+    Both sides must fire before either is refined.
 
     Sampled densities must be estimated with a bandwidth below the bump
     core width, otherwise the kernel itself imprints a slope break.
@@ -283,7 +263,7 @@ def bump_boundary(p: EmpiricalPdf) -> tuple[float, float] | None:
     x_peak = p.grid[int(np.argmax(dens))]
     dx = p.dx
 
-    edges: dict[str, float] = {}
+    gated = []
     for side in ("plus", "minus"):
         if side == "plus":
             sel = (p.grid >= x_peak + 3.0 * dx) & (dens > floor)
@@ -308,16 +288,19 @@ def bump_boundary(p: EmpiricalPdf) -> tuple[float, float] | None:
         spike = _innermost_spike(log_pos, curv)
         if spike is None:
             return None
-        x_spike = math.exp(log_pos[spike])
+        gated.append((log_pos, logp, math.exp(log_pos[spike])))
+    edges = []
+    for log_pos, logp, x_spike in gated:
         edge = _two_component_crossing(log_pos, logp, x_spike)
         if edge is None or not (x_spike / 20.0 < edge < x_spike * 20.0):
             edge = x_spike  # decomposition failed; spike position is still a break
-        edges[side] = edge
-    return float(x_peak - edges["minus"]), float(x_peak + edges["plus"])
+        edges.append(edge)
+    edge_plus, edge_minus = edges
+    return float(x_peak - edge_minus), float(x_peak + edge_plus)
 
 
-def fit_boundary_curve(boundaries, t0: float = 1.0) -> BoundaryFit:
-    """Least squares of log |x_edge| against log (t/t0), both branches pooled.
+def fit_boundary_curve(boundaries) -> BoundaryFit:
+    """Least squares of log |x_edge| against log t, both branches pooled.
 
     ``boundaries`` is an iterable of (t, x_minus, x_plus) or (t, edge)
     rows; entries with missing edges may be skipped by passing None for
@@ -335,11 +318,10 @@ def fit_boundary_curve(boundaries, t0: float = 1.0) -> BoundaryFit:
     distinct = len(set(ts))
     if distinct < 3:
         raise FitError(f"need boundaries at >= 3 lags, got {distinct}")
-    fit = loglog_fit(np.asarray(ts) / t0, np.asarray(xs))
+    fit = loglog_fit(np.asarray(ts), np.asarray(xs))
     return BoundaryFit(
         a=math.exp(fit.intercept),
         nu=fit.slope,
-        t0=t0,
         a_err=math.exp(fit.intercept) * fit.intercept_err,
         nu_err=fit.slope_err,
         residual=fit.residual_rms,

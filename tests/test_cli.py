@@ -335,6 +335,7 @@ class TestConfig:
         ("max_lag=inf", "max_lag < inf"),
         ("min_lag=0.5", "rounds to a lag below 1"),
         ("min_lag=1e-300", "rounds to a lag below 1"),
+        ("max_lag=1e300", "rounds to a lag beyond int64"),
     ])
     def test_lag_bound_without_a_ladder_exits_1_before_any_stage(self, setting, message,
                                                                   tmp_path, capsys):
@@ -407,6 +408,14 @@ class TestMainEntry:
             argv = ["verify-pme", "--m", "1.5", "--grid-points", "65", "--refinements", "1"]
         assert main(argv + [flag, default]) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_synth_lag_bound_without_a_ladder_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out), "--q", "1.71", "--alpha", "1.79",
+                     "--d-coef", "0.1118", "--min-lag", "0.5", "--max-lag", "10",
+                     "--n-per-lag", "100"]) == 1
+        assert "rounds to a lag below 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_set_key(self, tmp_path):
         assert main(["pipeline", "--ensembles", str(tmp_path), "--out",

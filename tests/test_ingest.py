@@ -470,7 +470,7 @@ class TestLagLadder:
             lag_ladder(1, 100, 0)
 
     @pytest.mark.parametrize("min_lag, max_lag", [
-        (1.0, math.inf), (1.0, math.nan), (0.5, 10.0), (1e-300, 10.0),
+        (1.0, math.inf), (1.0, math.nan), (0.5, 10.0), (1e-300, 10.0), (1.0, 1e300),
     ])
     def test_bound_without_a_ladder(self, min_lag, max_lag):
         with pytest.raises(ValueError):

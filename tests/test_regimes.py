@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.signal import savgol_filter
 
 from conftest import mixture_crossing
+from qdiff import regimes as reg
 from qdiff.density import EmpiricalPdf, kde, pdf_height
 from qdiff.ingest import lag_ladder
 from qdiff.qgauss import QParams, ScalingLaw, qgauss_pdf, qgauss_sample, selfsim_height, selfsim_sample
@@ -33,7 +32,8 @@ def mixture_density(w=0.5, p1=BUMP, p2=WIDE):
 
 
 class TestSavgolCurvatureBits:
-    """The detector's curvature gives the bits of scipy's ``savgol_filter``."""
+    """The detector's curvature gives the bits of scipy's ``savgol_filter``
+    on the cells ``_side_profile`` keeps."""
 
     @pytest.mark.parametrize("density", [mixture_density(), mixture_density(w=0.0)],
                              ids=["bump", "no_bump"])
@@ -44,8 +44,8 @@ class TestSavgolCurvatureBits:
         logp = np.log(density(np.exp(s))) + noise
         got = _savgol_curvature(logp, ds)
         want = savgol_filter(logp, SG_WINDOW, polyorder=3, deriv=2, delta=ds)
-        # Edges included: the first and last SG_WINDOW // 2 values come from the end fits.
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        kept = slice(SG_WINDOW // 2 + 1, N_LOG_GRID - SG_WINDOW // 2 - 1)
+        np.testing.assert_array_equal(got[kept].view(np.uint64), want[kept].view(np.uint64))
 
 
 class TestBumpBoundary:
@@ -92,6 +92,26 @@ class TestBumpBoundary:
         edges = bump_boundary(pdf)
         assert edges is not None
         assert abs(edges[1] - x_cross) / x_cross < 0.15
+
+    def test_no_refinement_unless_both_sides_gate(self, monkeypatch):
+        pdf = EmpiricalPdf.from_function(
+            mixture_density(), np.linspace(-4, 4, 16385), lag=1.0
+        )
+        spike, crossing = reg._innermost_spike, reg._two_component_crossing
+        calls = {"spike": 0, "crossing": 0}
+
+        def first_side_only(log_pos, curv):  # the plus side gates, the minus side not
+            calls["spike"] += 1
+            return spike(log_pos, curv) if calls["spike"] == 1 else None
+
+        def counted(*args):
+            calls["crossing"] += 1
+            return crossing(*args)
+
+        monkeypatch.setattr(reg, "_innermost_spike", first_side_only)
+        monkeypatch.setattr(reg, "_two_component_crossing", counted)
+        assert bump_boundary(pdf) is None
+        assert calls == {"spike": 2, "crossing": 0}
 
     def test_sampled_pure_member_stays_clean(self):
         # kernel bandwidth below the core width: no spurious break
@@ -172,47 +192,9 @@ class TestHeightLaw:
 
 
 class TestPartition:
-    def paper_partition(self):
-        return RegimePartition(a=0.0339, nu=0.62, t0=1.0, t_cross_start=35.0, t_bump_end=78.0)
-
-    def test_origin_at_short_lag_is_zone_a(self):
-        part = self.paper_partition()
-        assert part.classify(0.0, 1.0)[0] == "A"
-
-    def test_origin_after_bump_end_is_zone_c(self):
-        part = self.paper_partition()
-        assert part.classify(0.0, 100.0)[0] == "C"
-
-    def test_point_outside_curve_is_zone_c(self):
-        part = self.paper_partition()
-        x_edge = 0.0339 * 50.0**0.62
-        assert part.classify(x_edge + 1e-6, 50.0)[0] == "C"
-        assert part.classify(x_edge - 1e-6, 50.0)[0] == "B"
-
-    def test_crossover_band_is_zone_b(self):
-        part = self.paper_partition()
-        assert part.classify(0.0, 50.0)[0] == "B"
-
     def test_inverted_times_rejected(self):
         with pytest.raises(ValueError, match="inverted"):
             RegimePartition(a=0.0339, nu=0.62, t_cross_start=78.0, t_bump_end=35.0)
-
-    @given(st.floats(-5.0, 5.0), st.floats(0.1, 500.0))
-    @settings(max_examples=200, deadline=None)
-    def test_classifier_total(self, x, t):
-        part = RegimePartition(a=0.0339, nu=0.62, t0=1.0,
-                               t_cross_start=35.0, t_bump_end=78.0)
-        label = part.classify(x, t)[0]
-        assert label in ("A", "B", "C")
-        if label == "A":
-            assert t < 35.0 and abs(x) < part.boundary(t)
-        if label == "B":
-            assert 35.0 <= t < 78.0 and abs(x) < part.boundary(t)
-
-    def test_vectorized_classification(self):
-        part = self.paper_partition()
-        labels = part.classify(np.array([0.0, 1.0]), 10.0)
-        assert labels.tolist() == ["A", "C"]
 
 
 class TestBumpEnd:
