@@ -194,8 +194,24 @@ def _lag_scale(x: np.ndarray) -> float:
     standard deviation, else 1.0. The adaptive bandwidth, the core grid
     span and the moment window are multiples of it. The core grid is the
     lag's one KDE grid; the second moment is sum(x^2) / n over the samples
-    with |x| <= 4000 scales, with no grid clip."""
-    return float(np.quantile(np.abs(x), 0.25)) or float(np.std(x)) or 1.0
+    with |x| <= 4000 scales, with no grid clip.
+
+    The quantile is np.quantile's default (linear, type 7), bit for bit:
+    the value at virtual index (n - 1) / 4, interpolated as numpy's
+    ``_lerp`` does between the order statistics of ranks
+    k = floor((n - 1) / 4) and k + 1. np.quantile partitions at four
+    ranks; one partition at rank k, whose upper part's minimum is rank
+    k + 1, takes numpy's single-rank selection. That is several times
+    faster on returns, and slower only where one value fills much of |x|
+    around rank k."""
+    a = np.abs(x)
+    k, r = divmod(a.size - 1, 4)
+    a.partition(k)
+    lo = float(a[k])
+    hi = float(a[k + 1:].min()) if k + 1 < a.size else lo
+    g, d = r / 4, hi - lo
+    q25 = lo + d * g if g < 0.5 else hi - d * (1.0 - g)
+    return q25 or float(np.std(x)) or 1.0
 
 
 def cmd_pipeline(cfg: RunConfig) -> Path:

@@ -128,14 +128,9 @@ def _fit_log_density(
     """
     x2 = x * x
 
-    def mass_term(q, log_beta):
-        return _log_grid_mass(q, log_beta, span) if span is not None else 0.0
-
     def mass_grad(q, log_beta):
         # Small central differences; the closed-form gradient of the
         # window mass in (q, log beta) is not worth its complexity.
-        if span is None:
-            return 0.0, 0.0
         hq, hs = 1e-6, 1e-6
         q_lo = max(q - hq, Q_FIT_BOUNDS[0])
         q_hi = min(q + hq, Q_FIT_BOUNDS[1])
@@ -150,14 +145,20 @@ def _fit_log_density(
     def unpack(theta):
         return theta[0], (theta[1] if n_par == 2 else 0.0)
 
+    # Without a span there is no mass term: x - 0.0 is x for every double,
+    # so leaving it out saves a pass and keeps the bits.
     def resid(theta):
         q, log_beta = unpack(theta)
-        return log_qgauss(x2, q, log_beta) - mass_term(q, log_beta) - log_dens
+        r = log_qgauss(x2, q, log_beta)
+        if span is not None:
+            r -= _log_grid_mass(q, log_beta, span)
+        return r - log_dens
 
     def jac(theta):
         q, log_beta = unpack(theta)
         j = log_qgauss_jac(x2, q, log_beta)[:, :n_par]
-        j -= np.asarray(mass_grad(q, log_beta))[:n_par]
+        if span is not None:
+            j -= np.asarray(mass_grad(q, log_beta))[:n_par]
         return j
 
     def screen_start(q0):

@@ -106,11 +106,17 @@ def kde(ensemble, bandwidth: float, grid: tuple[float, float, int]) -> Empirical
     # Linear binning: each sample splits its weight over the two
     # enclosing nodes, preserving first moments and making node-aligned
     # samples exact.
-    pos = (inside - g[0]) / dx
-    i0 = np.minimum(pos.astype(np.int64), g.size - 2)
-    frac = pos - i0
+    # In place on the fresh ``inside``: the same operations, fewer passes.
+    pos = inside
+    pos -= g[0]
+    pos /= dx
+    i0 = pos.astype(np.int64)
+    np.minimum(i0, g.size - 2, out=i0)
+    frac = pos
+    frac -= i0
     counts = np.bincount(i0, weights=1.0 - frac, minlength=g.size)
-    counts += np.bincount(i0 + 1, weights=frac, minlength=g.size)
+    i0 += 1
+    counts += np.bincount(i0, weights=frac, minlength=g.size)
 
     radius = int(min(np.ceil(10.0 * bandwidth / dx), g.size - 1))
     offsets = np.arange(-radius, radius + 1) * dx
@@ -137,8 +143,9 @@ def second_moment(x, window: float) -> float:
         raise ValueError(f"window must be positive, got {window!r}")
     x = np.asarray(x, dtype=float)
     v = x[np.abs(x) <= window]
+    v *= v
     # numpy's pairwise sum, whose bits do not depend on a BLAS thread count
-    return float(np.sum(v * v)) / x.size
+    return float(np.sum(v)) / x.size
 
 
 # --- serialization -----------------------------------------------------

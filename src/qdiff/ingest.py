@@ -353,7 +353,8 @@ def returns_at_lag(series: IndexSeries, lag: float, policy: str = "overlapping")
                 next_free = ts[jj]
         i_idx = np.array([k[0] for k in keep])
         j_idx = np.array([k[1] for k in keep])
-    rets = series.values[j_idx] - series.values[i_idx]
+    rets = series.values[j_idx]
+    rets -= series.values[i_idx]
     return ReturnEnsemble(lag=float(lag), returns=rets, origin_policy=policy)
 
 

@@ -271,16 +271,26 @@ def qgauss_sample(p: QParams, n: int, seed) -> np.ndarray:
     if n < 1:
         raise ValueError(f"need n >= 1 samples, got {n}")
     rng = np.random.default_rng(seed)
-    u1 = 1.0 - rng.random(n)  # in (0, 1]: keeps the deformed log finite
+    # Each step works in place on the two draws, with the operands and
+    # order of the plain formula, so the bits are the same.
+    z = rng.random(n)
+    np.subtract(1.0, z, out=z)  # in (0, 1]: keeps the deformed log finite
     u2 = rng.random(n)
     q = p.q
     q_dual = (1.0 + q) / (3.0 - q)
     if abs(q_dual - 1.0) <= Q_LIMIT_TOL:
-        log_q = np.log(u1)
+        np.log(z, out=z)
     else:
-        log_q = (u1 ** (1.0 - q_dual) - 1.0) / (1.0 - q_dual)
-    z = np.sqrt(-2.0 * log_q) * np.cos(2.0 * np.pi * u2)
-    return z / np.sqrt((3.0 - q) * p.beta)
+        z **= 1.0 - q_dual  # not np.power: ``**`` keeps numpy's fast paths for -1, 0.5 and 2
+        z -= 1.0
+        z /= 1.0 - q_dual
+    z *= -2.0
+    np.sqrt(z, out=z)
+    u2 *= 2.0 * np.pi
+    np.cos(u2, out=u2)
+    z *= u2
+    z /= np.sqrt((3.0 - q) * p.beta)
+    return z
 
 
 def rescale_exponent(q: float, alpha: float) -> float:
@@ -317,4 +327,6 @@ def selfsim_sample(q: float, law: ScalingLaw, t: float, n: int, seed) -> np.ndar
     """Draw n variates of the self-similar density at time t."""
     if not (t > 0.0):
         raise ValueError(f"self-similar family needs t > 0, got {t!r}")
-    return qgauss_sample(QParams(q=q, beta=1.0), n, seed) * float(law.width(t))
+    z = qgauss_sample(QParams(q=q, beta=1.0), n, seed)
+    z *= float(law.width(t))
+    return z

@@ -346,7 +346,7 @@ class TestCriterion10TwoRegimePipeline:
 
     @pytest.mark.xfail(strict=True, reason=(
         "one q-Gaussian per lag cannot describe the bump while the weak component "
-        "carries much of its density; needs the joint two-component fit of ROADMAP item 2"))
+        "carries much of its density; needs the joint two-component fit of ROADMAP item 1"))
     def test_strong_regime_and_boundary(self, mixture_run):
         res = json.loads((mixture_run / "collapse.json").read_text()).get("strong")
         strong_ok = res is not None and (
