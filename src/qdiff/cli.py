@@ -414,47 +414,62 @@ def _stage_regimes(cfg, out, state, record):
 
 
 def _stage_lag_fits(cfg, out, state, record):
-    fits = [clp.fit_qgauss(p) for p in state["core_pdfs"]]
+    # each lag's |x| is counted once; a zone-A lag (two regimes, before the
+    # crossover) gets its window b(t) as one more edge, for the strong fit
+    partition: reg.RegimePartition = state["partition"]
+
+    def cut(t):
+        strong = state["has_bumps"] and t < partition.t_cross_start
+        return partition.boundary(t) if strong else None
+
+    bins = [clp.bin_samples(ens.returns, ens.lag, scale, cut=cut(ens.lag))
+            for ens, scale in zip(state["ensembles"], state["scales"])]
+    fits = [clp.fit_qgauss(b, span=(p.grid[0], p.grid[-1]))
+            for b, p in zip(bins, state["core_pdfs"])]
     path = out / "lag_fits.json"
     clp.write_lag_fits_json(fits, path)
     record("lag_fits", path)
+    state["bins"] = bins
     state["lag_fits"] = fits
     # how each solve went; not in lag_fits.json, whose sha256 the manifest holds
     state["report"]["lag_fits"] = [
-        {"lag": f.lag, "nfev": f.nfev, "status": f.status, "start_q": f.start_q,
-         "at_boundary": f.at_boundary, "grid_mass": f.grid_mass}
+        {"lag": f.lag, "nfev": f.nfev, "status": f.status, "at_boundary": f.at_boundary,
+         "grid_mass": f.grid_mass, "deviance": f.deviance, "n_bins": f.n_bins}
         for f in fits
     ]
 
 
 def _stage_collapse(cfg, out, state, record):
-    fits = state["lag_fits"]
-    pdfs = state["core_pdfs"]
     partition: reg.RegimePartition = state["partition"]
     regimes = state["report"]["regimes"]
+
+    def zone(keep):
+        """The pdfs, bins and lag fits of the lags whose lag ``keep`` accepts."""
+        idx = [i for i, f in enumerate(state["lag_fits"]) if keep(f.lag)]
+        return tuple([state[key][i] for i in idx] for key in ("core_pdfs", "bins", "lag_fits"))
 
     # the bump's narrow component widens every lag it is part of, so with a
     # bump the weak law and master curve come from the lags past its end
     t_weak = partition.t_bump_end if state["has_bumps"] else -math.inf
-    weak_fits = [f for f in fits if f.lag >= t_weak]
-    if state["has_bumps"] and len(weak_fits) < 3:
+    pdfs, bins, fits = zone(lambda t: t >= t_weak)
+    if state["has_bumps"] and len(fits) < 3:
         raise clp.FitError(f"the weak regime needs >= 3 lags at or past t_bump_end "
-                           f"{t_weak:g}, got {len(weak_fits)}")
-    pts_weak, weak = clp.collapse_zone([p for p in pdfs if p.lag >= t_weak], weak_fits, "C")
+                           f"{t_weak:g}, got {len(fits)}")
+    pts_weak, weak = clp.collapse_zone(pdfs, bins, fits, "C")
     results = {"weak": weak}
     clp.write_collapsed_csv(pts_weak, out / "collapsed_weak.npy")
     record("collapse", out / "collapsed_weak.npy")
 
-    strong_fits = [f for f in fits if f.lag < partition.t_cross_start]
+    pdfs, bins, fits = zone(lambda t: t < partition.t_cross_start)
     if not state["has_bumps"]:
         regimes["strong"] = f"fewer than 3 lags with a bump ({regimes['n_lags_with_bump']})"
-    elif len(strong_fits) < 3:
+    elif len(fits) < 3:
         regimes["strong"] = (f"fewer than 3 lags below t_cross_start "
-                             f"{partition.t_cross_start:g} ({len(strong_fits)})")
+                             f"{partition.t_cross_start:g} ({len(fits)})")
     else:
         try:
             pts_strong, results["strong"] = clp.collapse_zone(
-                [p for p in pdfs if p.lag < partition.t_cross_start], strong_fits, "A",
+                pdfs, [b.below(partition.boundary(b.lag)) for b in bins], fits, "A",
                 restriction=lambda t, xs: np.abs(xs) < partition.boundary(t),
             )
         except clp.FitError as exc:

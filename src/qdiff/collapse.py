@@ -1,11 +1,21 @@
 """Per-lag q-Gaussian fits, the beta(t) scaling law, and the data collapse.
 
-Fits are least squares in log-density space (balances tails and center on
-the log-scale plots the results are judged on) over grid points whose
-density exceeds a floor. Each fit evaluates its residual at a grid of q
-starts and runs one solve from the best, which starts it past the q/beta
-trade-off valley. The gradient in (q, log beta) is analytic for the log
-density and a central difference for the log window mass.
+Every fit is a binned Poisson likelihood on the samples (Baker & Cousins,
+Nucl. Instrum. Meth. 221, 1984). ``bin_samples`` counts a lag's |x| once,
+into an inner bin from 0, bins between edges at ``EDGE_SCALES`` times the
+lag's scale, and an outer bin to infinity. A bin's model mass is an exact
+difference of ``qgauss.tail_mass``, the Student-t form of the q-Gaussian,
+so no kernel, floor or grid span enters the model. The residuals are
+signed Poisson deviance residuals, each fit is one least-squares solve
+with a finite-difference Jacobian, and its standard errors come from
+(J^T J)^-1 with no rescale.
+
+``fit_qgauss`` fits (q, log beta) to one lag. ``fit_collapsed`` fits one
+zone's lags jointly in (q, alpha, log D) with beta(t) = (D t)^(-2/alpha),
+started from ``fit_beta_law`` on the lag fits. A zone-A lag is fitted
+inside its window |x| < b(t): its bins stop at b(t) and its model masses
+are conditioned on the window. The KDE grids only draw the collapse
+clouds (``collapse_pdfs``).
 """
 
 from __future__ import annotations
@@ -17,21 +27,15 @@ import numpy as np
 import scipy
 
 from qdiff._loglog import FitError, loglog_fit
-from qdiff.density import EmpiricalPdf
 from qdiff.io import write_array, write_json
-from qdiff.qgauss import (
-    Q_FIT_BOUNDS,
-    QParams,
-    ScalingLaw,
-    grid_mass,
-    log_qgauss,
-    log_qgauss_jac,
-)
+from qdiff.qgauss import Q_FIT_BOUNDS, QParams, ScalingLaw, grid_mass, tail_mass
 
 __all__ = [
     "CollapseResult",
     "FitError",
+    "LagBins",
     "LagFit",
+    "bin_samples",
     "collapse_payload",
     "collapse_pdfs",
     "collapse_spread",
@@ -41,24 +45,121 @@ __all__ = [
     "fit_qgauss",
 ]
 
-# q of the starts each fit screens
-SCREEN_Q = (1.05, 1.15, 1.25, 1.35, 1.45, 1.55, 1.65, 1.75, 1.85, 1.95,
-            2.05, 2.15, 2.25, 2.35, 2.45, 2.55, 2.65, 2.75, 2.85, 2.95)
+# Bin edges in units of a lag's scale; with the inner bin from 0 and the
+# outer bin to infinity, a lag has 120 bins.
+EDGE_SCALES = np.geomspace(1e-3, 2e4, 119)
+MIN_FILLED_BINS = 10  # a lag fit needs this many bins that hold counts
+START_Q = 1.5         # q of a lag fit's start
 MAX_ITER = 500
-DENSITY_FLOOR = 1e-6  # relative to the peak; below this points carry no weight
-FIT_FLOOR_COUNTS = 50.0  # kernel counts below which a KDE grid point is not fitted
+# least model count of a bin: keeps the deviance of a count where the model
+# underflows to 0 finite
+MIN_EXPECTED = 1e-300
+
+
+@dataclass(frozen=True, eq=False)
+class LagBins:
+    """One lag's |x| counted into bins.
+
+    Bin k holds edges[k - 1] <= |x| < edges[k], and bin 0 starts at 0. The
+    last edge is infinity, or a window edge on which the model is then
+    conditioned (``below``). ``scale`` is the lag scale that the edges are
+    multiples of.
+    """
+
+    lag: float
+    scale: float
+    edges: np.ndarray
+    counts: np.ndarray
+
+    def below(self, window: float) -> LagBins:
+        """The bins under ``window``, which must be one of the edges, such
+        as the ``cut`` of ``bin_samples``."""
+        at = np.flatnonzero(self.edges == window)
+        if at.size == 0:
+            raise ValueError(f"window {window!r} is not a bin edge of lag {self.lag:g}")
+        k = int(at[0]) + 1
+        return LagBins(self.lag, self.scale, self.edges[:k], self.counts[:k])
+
+
+def bin_samples(x, lag: float, scale: float, cut: float | None = None) -> LagBins:
+    """Count |x| into bins on edges at ``EDGE_SCALES`` times ``scale``.
+
+    ``cut`` adds one more edge, a window that ``LagBins.below`` can then
+    take without counting again.
+    """
+    edges = scale * EDGE_SCALES
+    if cut is not None:
+        edges = np.sort(np.append(edges, cut))
+    edges = np.append(edges, math.inf)
+    counts, _ = np.histogram(np.abs(x), np.concatenate(([0.0], edges)))
+    return LagBins(float(lag), float(scale), edges, counts)
+
+
+class _Counts:
+    """The bins of one or more lags, flattened so that one ufunc call gives
+    every model mass."""
+
+    def __init__(self, bins) -> None:
+        sizes = np.array([b.counts.size for b in bins])
+        ends = np.cumsum(sizes)
+        starts = ends - sizes
+        self.edges = np.concatenate([b.edges for b in bins])
+        self.counts = np.concatenate([b.counts for b in bins]).astype(float)
+        self.lag_of = np.repeat(np.arange(sizes.size), sizes)
+        # where each bin's lower tail mass sits in the upper ones with 1.0
+        # appended: a lag's first bin starts at 0, where the tail mass is 1
+        self.lower = np.arange(self.edges.size) - 1
+        self.lower[starts] = self.edges.size
+        self.last = ends - 1
+        self.n = np.add.reduceat(self.counts, starts)
+
+    @property
+    def size(self) -> int:
+        return self.counts.size
+
+    def residuals(self, q: float, log_beta: np.ndarray) -> np.ndarray:
+        """Signed Poisson deviance residuals at q and one log beta per lag."""
+        tail = tail_mass(q, np.exp(log_beta)[self.lag_of], self.edges)
+        mass = np.append(tail, 1.0)[self.lower] - tail
+        # each lag's model is conditioned on its window, of mass 1 - tail
+        # at its last edge (1 for an edge at infinity)
+        mu = np.maximum(mass * (self.n / (1.0 - tail[self.last]))[self.lag_of], MIN_EXPECTED)
+        c = self.counts
+        dev = 2.0 * (mu - c + scipy.special.xlogy(c, c / mu))
+        return np.sign(c - mu) * np.sqrt(np.maximum(dev, 0.0))
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, loaded on the first fit rather than on import."""
+    return scipy.optimize.least_squares(*args, **kwargs)
+
+
+def _solve(resid, x0, lower, upper):
+    """One least-squares solve of deviance residuals: the solution and the
+    standard errors from (J^T J)^-1. FitError unless it converged."""
+    sol = least_squares(resid, np.asarray(x0, dtype=float), bounds=(lower, upper),
+                        method="trf", max_nfev=MAX_ITER)
+    if sol.status <= 0 or not np.all(np.isfinite(sol.x)):
+        raise FitError(f"least-squares fit did not converge (status {sol.status})")
+    try:
+        stderr = np.sqrt(np.maximum(np.diag(np.linalg.inv(sol.jac.T @ sol.jac)), 0.0))
+    except np.linalg.LinAlgError:
+        stderr = np.full(sol.x.size, math.nan)
+    return sol, stderr
 
 
 @dataclass(frozen=True)
 class LagFit:
-    """Fitted q-Gaussian for one lag, with log-space misfit and errors.
+    """Fitted q-Gaussian for one lag, with its misfit and errors.
 
-    ``grid_mass`` is the mass of the fitted density inside the estimation
-    grid; collapse routines use it to undo the truncation renormalization
-    before pooling lags estimated over different spans. ``nfev``,
-    ``status`` and ``start_q`` describe the solve (function evaluations,
-    the least-squares status, the screen q it started from). These four
-    go to the run report, not to ``lag_fits.json``.
+    ``fit_residual`` is the rms deviance residual over the lag's bins.
+    ``grid_mass`` is the mass of the fitted density inside the lag's KDE
+    grid; ``collapse_pdfs`` uses it to undo the truncation renormalization
+    before pooling lags estimated over different spans. ``nfev`` and
+    ``status`` describe the solve (function evaluations, the least-squares
+    status), ``deviance`` is its Poisson deviance and ``n_bins`` the number
+    of bins that hold counts. These five go to the run report, not to
+    ``lag_fits.json``.
     """
 
     lag: float
@@ -71,7 +172,8 @@ class LagFit:
     grid_mass: float = 1.0
     nfev: int = 0
     status: int = 0
-    start_q: float = math.nan
+    deviance: float = 0.0
+    n_bins: int = 0
 
     def __post_init__(self) -> None:
         if self.fit_residual < 0.0:
@@ -82,7 +184,11 @@ class LagFit:
 
 @dataclass(frozen=True)
 class CollapseResult:
-    """Master-curve fit of pooled rescaled densities for one zone."""
+    """Joint fit of one zone's lags: master-curve q and the scaling law.
+
+    ``collapse_residual`` is the rms deviance residual and ``n_points`` the
+    number of bins fitted.
+    """
 
     q: float
     scaling: ScalingLaw
@@ -90,6 +196,8 @@ class CollapseResult:
     zone: str
     q_err: float = 0.0
     n_points: int = 0
+    alpha_err: float = 0.0
+    d_coef_err: float = 0.0
 
     def __post_init__(self) -> None:
         if self.collapse_residual < 0.0:
@@ -98,168 +206,47 @@ class CollapseResult:
             raise ValueError(f"zone must be 'A' or 'C', got {self.zone!r}")
 
 
-def _log_grid_mass(q: float, log_beta: float, span: tuple[float, float]) -> float:
-    return math.log(grid_mass(q, math.exp(log_beta), span[0], span[1]))
+def fit_qgauss(bins: LagBins, span: tuple[float, float] = (-math.inf, math.inf)) -> LagFit:
+    """Fit (q, log beta) to one lag's bins in one solve.
 
-
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, loaded on the first fit rather than on import."""
-    return scipy.optimize.least_squares(*args, **kwargs)
-
-
-def _fit_log_density(
-    x: np.ndarray,
-    log_dens: np.ndarray,
-    *,
-    x_half: float | None = None,
-    span: tuple[float, float] | None = None,
-) -> tuple:
-    """Shared optimizer: returns (least-squares result, rms, stderr, start q).
-
-    One solve runs from the ``SCREEN_Q`` start with the smallest sum of
-    squares. With ``x_half`` the inverse width is fitted too, and each
-    screen q takes the beta that puts half the peak at ``x_half``;
-    without it beta is pinned at 1.
-
-    When ``span`` is given, the model is the q-Gaussian conditioned on
-    that window (density renormalized over it), matching estimates built
-    on truncated grids; heavy-tailed members hold large mass outside any
-    finite span and the unconditioned model misfits them badly.
-    """
-    x2 = x * x
-
-    def mass_grad(q, log_beta):
-        # Small central differences; the closed-form gradient of the
-        # window mass in (q, log beta) is not worth its complexity.
-        hq, hs = 1e-6, 1e-6
-        q_lo = max(q - hq, Q_FIT_BOUNDS[0])
-        q_hi = min(q + hq, Q_FIT_BOUNDS[1])
-        d_q = (_log_grid_mass(q_hi, log_beta, span)
-               - _log_grid_mass(q_lo, log_beta, span)) / (q_hi - q_lo)
-        d_s = (_log_grid_mass(q, log_beta + hs, span)
-               - _log_grid_mass(q, log_beta - hs, span)) / (2.0 * hs)
-        return d_q, d_s
-
-    n_par = 1 if x_half is None else 2
-
-    def unpack(theta):
-        return theta[0], (theta[1] if n_par == 2 else 0.0)
-
-    # Without a span there is no mass term: x - 0.0 is x for every double,
-    # so leaving it out saves a pass and keeps the bits.
-    def resid(theta):
-        q, log_beta = unpack(theta)
-        r = log_qgauss(x2, q, log_beta)
-        if span is not None:
-            r -= _log_grid_mass(q, log_beta, span)
-        return r - log_dens
-
-    def jac(theta):
-        q, log_beta = unpack(theta)
-        j = log_qgauss_jac(x2, q, log_beta)[:, :n_par]
-        if span is not None:
-            j -= np.asarray(mass_grad(q, log_beta))[:n_par]
-        return j
-
-    def screen_start(q0):
-        if x_half is None:
-            return np.array([q0])
-        return np.array([q0, math.log((2.0 ** (q0 - 1.0) - 1.0) / ((q0 - 1.0) * x_half**2))])
-
-    starts = [screen_start(q0) for q0 in SCREEN_Q]
-    costs = [np.sum(resid(theta) ** 2) for theta in starts]
-    theta0 = starts[int(np.argmin(costs))]
-    bounds = ([Q_FIT_BOUNDS[0], -60.0][:n_par], [Q_FIT_BOUNDS[1], 60.0][:n_par])
-    sol = least_squares(
-        resid, theta0, jac=jac, bounds=bounds, method="trf", max_nfev=MAX_ITER
-    )
-    if not np.all(np.isfinite(sol.x)):
-        raise FitError("q-Gaussian fit did not produce a finite solution")
-    rms = math.sqrt(2.0 * sol.cost / x.size)
-    dof = max(x.size - sol.x.size, 1)
-    jtj = sol.jac.T @ sol.jac
-    try:
-        cov = np.linalg.inv(jtj) * (2.0 * sol.cost / dof)
-        stderr = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except np.linalg.LinAlgError:
-        stderr = np.full(sol.x.size, math.nan)
-    return sol, rms, stderr, float(theta0[0])
-
-
-def _halfwidth(x: np.ndarray, log_dens: np.ndarray) -> float:
-    """The smallest |x| > 0 where the data fall to half their peak, else
-    the largest |x|."""
-    peak = np.max(log_dens)
-    ax = np.abs(x)
-    # Only x != 0 can set a width: a grid point at 0 lies below half the
-    # peak when the density is bimodal.
-    below = ax[(log_dens <= peak - math.log(2.0)) & (ax > 0.0)]
-    if below.size == 0:
-        return max(float(np.max(ax)), 1e-12)
-    return float(np.min(below))
-
-
-def fit_qgauss(p: EmpiricalPdf, restriction: tuple[float, float] | None = None) -> LagFit:
-    """Fit (q, beta) to one density in log space.
-
-    ``restriction`` limits the fit to grid points inside an (lo, hi)
-    window, e.g. the bump domain for strong-regime fits. Points at or
-    below the density floor are excluded: ``FIT_FLOOR_COUNTS`` kernel
-    counts, from the sample count and bandwidth every KDE carries, and
-    never below ``DENSITY_FLOOR`` of the peak, or ``DENSITY_FLOOR`` of the
-    peak for a pdf with no samples or no bandwidth (analytic pdfs). The
-    model is conditioned on the estimate's own grid span, since the
-    estimate integrates to one there no matter how much tail mass lies
-    beyond.
-    One least-squares solve starts from the best of the ``SCREEN_Q``
-    starts, each with the beta that puts half the peak at the data's
-    half-width.
+    The start is q = ``START_Q`` with the beta whose 25% quantile of |x| is
+    the lag's scale. ``span`` is the lag's KDE grid, for ``grid_mass``.
     Fits that end on the q-domain boundary are flagged, not rejected; an
-    exact Gaussian legitimately fits at the lower edge. A fit whose width
-    1/sqrt(beta) is below the grid spacing, which the grid cannot resolve,
-    raises FitError.
+    exact Gaussian legitimately fits at the lower edge. FitError when fewer
+    than ``MIN_FILLED_BINS`` bins hold counts, and when the fitted width
+    1/sqrt(beta) is below the innermost edge, which the bins cannot
+    resolve.
     """
-    x = p.grid
-    dens = p.density
-    span = (float(p.grid[0]), float(p.grid[-1]))
-    if restriction is not None:
-        lo, hi = restriction
-        mask = (x >= lo) & (x <= hi)
-        x, dens = x[mask], dens[mask]
-    peak = float(np.max(p.density))
-    floor = DENSITY_FLOOR
-    if p.n_samples > 0 and p.bandwidth > 0.0:
-        counts = FIT_FLOOR_COUNTS / (p.n_samples * p.bandwidth * math.sqrt(2.0 * math.pi))
-        floor = max(DENSITY_FLOOR, counts / peak)
-    keep = dens > floor * peak
-    x, dens = x[keep], dens[keep]
-    if x.size < 10:
-        raise FitError(f"need >= 10 usable grid points, got {x.size}")
-    log_dens = np.log(dens)
-    sol, rms, stderr, start_q = _fit_log_density(
-        x, log_dens, x_half=_halfwidth(x, log_dens), span=span
-    )
-    if sol.status <= 0:
-        raise FitError("q-Gaussian fit did not converge within the iteration cap")
+    filled = int(np.count_nonzero(bins.counts))
+    if filled < MIN_FILLED_BINS:
+        raise FitError(f"need >= {MIN_FILLED_BINS} bins holding counts, got {filled}")
+    counts = _Counts([bins])
+    nu = (3.0 - START_Q) / (START_Q - 1.0)
+    z = float(scipy.special.stdtrit(nu, 0.625))  # F(z) = 0.625: P(|X| < z) = 0.25
+    log_beta0 = 2.0 * math.log(z / bins.scale) - math.log(3.0 - START_Q)
+    sol, stderr = _solve(lambda theta: counts.residuals(theta[0], theta[1:]),
+                         [START_Q, log_beta0], [Q_FIT_BOUNDS[0], -math.inf],
+                         [Q_FIT_BOUNDS[1], math.inf])
     q_hat = float(sol.x[0])
     beta_hat = math.exp(sol.x[1])
     width = 1.0 / math.sqrt(beta_hat)
-    if width < p.dx:
+    if width < bins.edges[0]:
         raise FitError(f"q-Gaussian fit is degenerate: width {width:.3g} "
-                       f"below the grid spacing {p.dx:.3g}")
-    at_edge = (q_hat - Q_FIT_BOUNDS[0] < 5e-6) or (Q_FIT_BOUNDS[1] - q_hat < 5e-6)
+                       f"below the innermost bin edge {bins.edges[0]:.3g}")
+    deviance = 2.0 * float(sol.cost)
     return LagFit(
-        lag=p.lag,
+        lag=bins.lag,
         params=QParams(q=q_hat, beta=beta_hat),
-        fit_residual=rms,
-        n_samples=p.n_samples,
+        fit_residual=math.sqrt(deviance / counts.size),
+        n_samples=int(counts.n[0]),
         q_err=float(stderr[0]),
         beta_err=float(beta_hat * stderr[1]),
-        at_boundary=at_edge,
+        at_boundary=(q_hat - Q_FIT_BOUNDS[0] < 5e-6) or (Q_FIT_BOUNDS[1] - q_hat < 5e-6),
         grid_mass=grid_mass(q_hat, beta_hat, span[0], span[1]),
         nfev=int(sol.nfev),
         status=int(sol.status),
-        start_q=start_q,
+        deviance=deviance,
+        n_bins=filled,
     )
 
 
@@ -268,7 +255,8 @@ def fit_beta_law(fits) -> ScalingLaw:
 
     In log space the slope is -2/alpha and the intercept -(2/alpha) log D,
     both from an ordinary least-squares fit weighting lags uniformly in
-    log t. Raises FitError when beta does not decay (no scaling).
+    log t; the start of a zone fit. Raises FitError when beta does not
+    decay (no scaling).
     """
     rows = [(f.lag, f.params.beta) for f in fits]
     if len(rows) < 3:
@@ -359,45 +347,51 @@ def collapse_spread(points: np.ndarray, n_grid: int = 512) -> float:
     return float(np.sqrt(np.nanmean(dev**2)))
 
 
-def fit_collapsed(points: np.ndarray, scaling: ScalingLaw, zone: str = "C") -> CollapseResult:
-    """Fit the master curve of pooled rescaled points to a unit q-Gaussian.
+def fit_collapsed(bins, start: ScalingLaw, q0: float, zone: str = "C") -> CollapseResult:
+    """Fit one zone's lags jointly: (q, alpha, log D), with beta(t) =
+    (D t)^(-2/alpha) at each lag, in one solve from q0 and ``start``.
 
-    The inverse-width is pinned to 1, since the rescaling already carries
-    the widths. Points at or below ``DENSITY_FLOOR`` of the peak are not
-    fitted. Needs >= 50 pooled points.
+    ``bins`` are the zone's ``LagBins``, windowed where the zone is.
+    Needs >= 3 lags.
     """
-    if points.shape[0] < 50:
-        raise FitError(f"need >= 50 pooled points, got {points.shape[0]}")
-    x = points[:, 0]
-    dens = points[:, 1]
-    keep = dens > DENSITY_FLOOR * float(np.max(dens))
-    x, dens = x[keep], dens[keep]
-    if x.size < 50:
-        raise FitError(f"need >= 50 usable pooled points, got {x.size}")
-    sol, rms, stderr, _ = _fit_log_density(x, np.log(dens))
-    if sol.status <= 0:
-        raise FitError("collapsed fit did not converge within the iteration cap")
+    if len(bins) < 3:
+        raise FitError(f"need >= 3 lags, got {len(bins)}")
+    counts = _Counts(bins)
+    log_t = np.log([b.lag for b in bins])
+
+    def resid(theta):
+        q, alpha, log_d = theta
+        return counts.residuals(q, -(2.0 / alpha) * (log_d + log_t))
+
+    sol, stderr = _solve(resid, [q0, start.alpha, math.log(start.d_coef)],
+                         [Q_FIT_BOUNDS[0], 0.0, -math.inf], [Q_FIT_BOUNDS[1], math.inf, math.inf])
+    q, alpha, log_d = (float(v) for v in sol.x)
+    d_coef = math.exp(log_d)
     return CollapseResult(
-        q=float(sol.x[0]),
-        scaling=scaling,
-        collapse_residual=rms,
+        q=q,
+        scaling=ScalingLaw(alpha=alpha, d_coef=d_coef),
+        collapse_residual=math.sqrt(2.0 * float(sol.cost) / counts.size),
         zone=zone,
         q_err=float(stderr[0]),
-        n_points=int(x.size),
+        n_points=counts.size,
+        alpha_err=float(stderr[1]),
+        d_coef_err=float(d_coef * stderr[2]),
     )
 
 
-def collapse_zone(pdfs, fits, zone: str, restriction=None) -> tuple[np.ndarray, CollapseResult]:
-    """One zone's data collapse: the pooled cloud and its master-curve fit.
+def collapse_zone(pdfs, bins, fits, zone: str, restriction=None) -> tuple[np.ndarray, CollapseResult]:
+    """One zone's data collapse: the zone fit and its pooled cloud.
 
-    ``fits`` are the per-lag fits of ``pdfs``, and the beta law is fitted
-    to them. Each lag's density is scaled by its fit's grid mass before
-    pooling, and ``restriction`` is passed on to ``collapse_pdfs``.
+    ``fits`` are the lag fits of the zone's lags; the beta law fitted to
+    them and their median q start the zone fit of ``bins``. The cloud
+    pools ``pdfs`` under the fitted law, each lag's density scaled by its
+    fit's grid mass, and ``restriction`` is passed on to ``collapse_pdfs``.
     """
-    scaling = fit_beta_law(fits)
-    points = collapse_pdfs(pdfs, scaling, restriction=restriction,
+    start = fit_beta_law(fits)
+    result = fit_collapsed(bins, start, float(np.median([f.params.q for f in fits])), zone=zone)
+    points = collapse_pdfs(pdfs, result.scaling, restriction=restriction,
                            grid_masses={f.lag: f.grid_mass for f in fits})
-    return points, fit_collapsed(points, scaling, zone=zone)
+    return points, result
 
 
 # --- serialization -----------------------------------------------------
@@ -422,6 +416,8 @@ def collapse_payload(result: CollapseResult) -> dict:
         "collapse_residual": result.collapse_residual,
         "zone": result.zone,
         "q_err": result.q_err,
+        "alpha_err": result.alpha_err,
+        "d_coef_err": result.d_coef_err,
         "n_points": result.n_points,
     }
 

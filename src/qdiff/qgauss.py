@@ -2,9 +2,9 @@
 
 Provides the deformed exponential, the normalization constant of the
 q-Gaussian density on 1 < q < 3, density/log-density evaluation, the
-log density and its Jacobian in the fit coordinates (x^2, q, log beta),
-the probability mass inside a window, exact sampling via the generalized
-Box-Muller transform, and the self-similar spreading family
+probability mass inside a window and beyond |x| (exact, through the
+Student-t form), exact sampling via the generalized Box-Muller
+transform, and the self-similar spreading family
 P(x, t) = g_q(x / w(t)) / w(t) with w(t) = (D t)^(1/alpha).
 """
 
@@ -35,7 +35,6 @@ __all__ = [
     "grid_mass",
     "log_c_q",
     "log_qgauss",
-    "log_qgauss_jac",
     "q_exponential",
     "qgauss_logpdf",
     "qgauss_pdf",
@@ -44,6 +43,7 @@ __all__ = [
     "selfsim_height",
     "selfsim_pdf",
     "selfsim_sample",
+    "tail_mass",
 ]
 
 
@@ -168,75 +168,42 @@ def log_qgauss(x2, q: float, log_beta: float):
     return 0.5 * log_beta - log_c_q(q) - np.log1p(qm1 * beta * x2) / qm1
 
 
-# d log C_q/dq as a power series in q - 1, highest power first, from the
-# large-z expansion of log Gamma(z - 1/2) - log Gamma(z) at z = 1/(q - 1);
-# used below _DLOGCQ_SERIES_MAX, where the digamma difference cancels to
-# its limit 3/8.
-_DLOGCQ_SERIES = (0.000244140625, 0.04266357421875, 0.0009765625, -0.01318359375,
-                  0.00390625, 0.01611328125, 0.015625, 0.0234375, 0.0625,
-                  0.140625, 0.25, 0.375)
-_DLOGCQ_SERIES_MAX = 0.05
-# Below this v = u / (1 + u) the tail term is summed as a series in v,
-# with coefficients 1/(k + 2), highest power first.
-_TAIL_SERIES_MAX = 0.01
-_TAIL_SERIES = (1 / 9, 1 / 8, 1 / 7, 1 / 6, 1 / 5, 1 / 4, 1 / 3, 1 / 2)
-
-
-def _dlog_c_q(q: float) -> float:
-    """d log C_q/dq for 1 < q < 3."""
-    qm1 = q - 1.0
-    if qm1 < _DLOGCQ_SERIES_MAX:
-        return float(np.polyval(_DLOGCQ_SERIES, qm1))
-    z1 = (3.0 - q) / (2.0 * qm1)
-    dpsi = scipy.special.digamma(1.0 / qm1) - scipy.special.digamma(z1)
-    return -0.5 / qm1 + dpsi / (qm1 * qm1)
-
-
-def log_qgauss_jac(x2: np.ndarray, q: float, log_beta: float) -> np.ndarray:
-    """Columns: d/dq and d/dlog(beta) of the log density.
-
-    With u = (q - 1) beta x^2, d/dq is -d log C_q/dq plus the tail term
-    log1p(u)/(q - 1)^2 - beta x^2/((q - 1)(1 + u)). Both parts cancel
-    to leading order as q -> 1 or u -> 0, so near there each is a series
-    that keeps full precision: d log C_q/dq in powers of q - 1, and the
-    tail term as frac^2 sum_k v^k/(k + 2) with frac = beta x^2/(1 + u)
-    and v = u/(1 + u).
-    """
-    beta = math.exp(log_beta)
-    qm1 = q - 1.0
-    u = qm1 * beta * x2
-    frac = beta * x2 / (1.0 + u)
-    v = qm1 * frac
-    tail = np.where(
-        v < _TAIL_SERIES_MAX,
-        frac * frac * np.polyval(_TAIL_SERIES, v),
-        np.log1p(u) / (qm1 * qm1) - frac / qm1,
-    )
-    d_q = tail - _dlog_c_q(q)
-    d_s = 0.5 - frac
-    return np.column_stack([d_q, d_s])
-
-
-def grid_mass(q: float, beta: float, lo: float, hi: float) -> float:
-    """Probability mass of a q-Gaussian inside [lo, hi].
+def _cdf(q: float, beta, x):
+    """The q-Gaussian distribution function at ``x``; ``beta`` and ``x``
+    broadcast.
 
     Uses the exact Student-t correspondence: a q-Gaussian with 1 < q < 3
     is a t distribution with nu = (3-q)/(q-1) degrees of freedom scaled
-    by 1/sqrt((3-q) beta). Heavy-tailed members hold substantial mass
-    outside any practical grid, which matters when fitting densities that
-    were renormalized over a finite span.
-
+    by 1/sqrt((3-q) beta); |q - 1| <= Q_LIMIT_TOL is the normal member.
     ``stdtr`` and ``ndtr`` are the ufuncs that the Student-t and normal
     distribution objects' ``cdf`` methods end in; called directly they give
     the same bits without the per-call argument handling, which costs far
     more than the evaluation in the fit loops.
     """
     if abs(q - 1.0) <= Q_LIMIT_TOL:
-        scale = 1.0 / math.sqrt(2.0 * beta)
-        return float(scipy.special.ndtr(hi / scale) - scipy.special.ndtr(lo / scale))
+        scale = 1.0 / np.sqrt(2.0 * beta)
+        return scipy.special.ndtr(x / scale)
     nu = (3.0 - q) / (q - 1.0)
-    scale = 1.0 / math.sqrt((3.0 - q) * beta)
-    return float(scipy.special.stdtr(nu, hi / scale) - scipy.special.stdtr(nu, lo / scale))
+    scale = 1.0 / np.sqrt((3.0 - q) * beta)
+    return scipy.special.stdtr(nu, x / scale)
+
+
+def grid_mass(q: float, beta: float, lo: float, hi: float) -> float:
+    """Probability mass of a q-Gaussian inside [lo, hi].
+
+    Heavy-tailed members hold substantial mass outside any practical grid,
+    which matters when pooling densities that were renormalized over a
+    finite span.
+    """
+    return float(_cdf(q, beta, hi) - _cdf(q, beta, lo))
+
+
+def tail_mass(q: float, beta, x):
+    """Probability mass of |X| >= x for a q-Gaussian, 2 F(-x); ``beta`` and
+    ``x`` broadcast. It is 1 at x = 0 and 0 at x = inf, and keeps full
+    relative precision far out in the tails, where 1 - F(x) would round
+    to 0."""
+    return 2.0 * _cdf(q, beta, -np.asarray(x, dtype=float))
 
 
 def qgauss_logpdf(x, p: QParams):

@@ -220,7 +220,8 @@ class TestReturns:
         ts = np.cumsum(rng.choice([1.0, 1.0, 1.0, 2.0], n)) + (0.0 if whole else 0.5)
         series = IndexSeries(timestamps=ts, values=values("wide", n, seed))
         for lag in (1.0, 2.0, 5.0):
-            if lag > series.span:
+            # returns_at_lag refuses a lag outside [interval, span]
+            if not series.interval <= lag <= series.span:
                 continue
             i_idx, j_idx = ingest._search_pairs(ts, lag, series.interval * 1e-9)
             if i_idx.size == 0:

@@ -129,14 +129,21 @@ class TestPipeline:
         rows = json.loads((small_run / "lag_fits.json").read_text())
         assert [r["lag"] for r in report] == [r["lag"] for r in rows]
         for entry, row in zip(report, rows):
-            assert set(entry) == {"lag", "nfev", "status", "start_q", "at_boundary", "grid_mass"}
+            assert set(entry) == {"lag", "nfev", "status", "at_boundary", "grid_mass",
+                                  "deviance", "n_bins"}
             assert entry["nfev"] > 0 and entry["status"] > 0
             assert 0.0 < entry["grid_mass"] <= 1.0
-            assert 1.0 < entry["start_q"] < 3.0
+            assert math.isfinite(entry["deviance"]) and entry["deviance"] >= 0.0
+            assert 10 <= entry["n_bins"] <= 120
             assert entry["at_boundary"] == row["at_boundary"]
-            assert not {"nfev", "status", "start_q", "grid_mass"} & set(row)
+            assert not {"nfev", "status", "grid_mass", "deviance", "n_bins"} & set(row)
         manifest = json.loads((small_run / "manifest.json").read_text())
         assert "run_report.json" not in {a["path"] for a in manifest["artifacts"]}
+
+    def test_collapse_states_the_error_of_every_weak_number(self, small_run):
+        weak = json.loads((small_run / "collapse.json").read_text())["weak"]
+        for key in ("q_err", "alpha_err", "d_coef_err"):
+            assert math.isfinite(weak[key]) and weak[key] > 0.0, key
 
     def test_run_report_says_why_the_strong_regime_is_missing(self, small_run):
         regimes = json.loads((small_run / "run_report.json").read_text())["regimes"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from conftest import ks_distance, loglog_slope_fd, quad_cdf_oracle, quad_normalization
 from qdiff.qgauss import (
@@ -12,8 +12,8 @@ from qdiff.qgauss import (
     QParams,
     ScalingLaw,
     c_q,
+    grid_mass,
     log_qgauss,
-    log_qgauss_jac,
     q_exponential,
     qgauss_logpdf,
     qgauss_pdf,
@@ -22,6 +22,7 @@ from qdiff.qgauss import (
     selfsim_height,
     selfsim_pdf,
     selfsim_sample,
+    tail_mass,
 )
 
 
@@ -117,56 +118,6 @@ class TestDensity:
 
 
 class TestLogDensityCore:
-    @pytest.mark.parametrize("q", [1.2, 1.71, 2.5, 2.9])
-    @pytest.mark.parametrize("log_beta", [-3.0, 0.0, 5.0])
-    def test_jacobian_matches_central_differences(self, q, log_beta):
-        x2 = np.geomspace(1e-6, 1e6, 49) / math.exp(log_beta)
-        h = 1e-6
-        fd_q = (log_qgauss(x2, q + h, log_beta) - log_qgauss(x2, q - h, log_beta)) / (2 * h)
-        fd_s = (log_qgauss(x2, q, log_beta + h) - log_qgauss(x2, q, log_beta - h)) / (2 * h)
-        jac = log_qgauss_jac(x2, q, log_beta)
-        assert jac.shape == (x2.size, 2)
-        np.testing.assert_allclose(jac[:, 0], fd_q, rtol=1e-6, atol=1e-6)
-        np.testing.assert_allclose(jac[:, 1], fd_s, rtol=1e-6, atol=1e-6)
-
-    # d/dq of the log density at log_beta = 0, q = 1 + eps (the double),
-    # to 40 digits. Generated with mpmath at mp.dps = 60:
-    #   f = lambda q: -(0.5*log(pi/(q-1)) + loggamma((3-q)/(2*(q-1)))
-    #                   - loggamma(1/(q-1))) - log1p((q-1)*x2)/(q-1)
-    #   diff(f, mpf(1.0 + eps))
-    @pytest.mark.parametrize("eps,x2,want", [
-        (1e-6, 1e-6, "-0.375000249999640604495818066065987795506"),
-        (1e-6, 1.0, "0.1249990833339427828818186650885318512809"),
-        (1e-6, 1e4, "49340753.7832352380151894393626352934151"),
-        (1e-4, 1e-6, "-0.3750250014058124995903100588801433172948"),
-        (1e-4, 1.0, "0.1249083394262209244084759094503767618454"),
-        (1e-4, 1e4, "19314717.68097103060141810408467571585237"),
-        (1e-2, 1e-6, "-0.3775141252354536532790537882982853111926"),
-        (1e-2, 1.0, "0.1158934163458649221010242110330307807332"),
-        (1e-2, 1e4, "36249.83755527740187855019212273379258946"),
-        (0.3, 1e-6, "-0.4645835085365892884988976743353914038877"),
-        (0.3, 1.0, "-0.1135275785564194956993629178609737676991"),
-        (0.3, 1e4, "77.39135057701415633135435872417595478683"),
-    ])
-    def test_dq_column_matches_high_precision_reference(self, eps, x2, want):
-        got = log_qgauss_jac(np.array([x2]), 1.0 + eps, 0.0)[0, 0]
-        assert got == pytest.approx(float(want), rel=1e-9)
-
-    @pytest.mark.parametrize("x2", [1e-6, 1.0, 1e4])
-    def test_dq_column_is_continuous_where_log_c_q_switches(self, x2):
-        # below q - 1 = 0.05 d log C_q/dq is a power series in q - 1
-        x2 = np.array([x2])
-        lo = log_qgauss_jac(x2, 1.05 - 1e-13, 0.0)[0, 0]
-        hi = log_qgauss_jac(x2, 1.05 + 1e-13, 0.0)[0, 0]
-        assert hi == pytest.approx(lo, rel=1e-11)
-
-    @pytest.mark.parametrize("q", [1.0 + 1e-6, 1.05, 1.3, 2.5])
-    def test_dq_column_is_continuous_where_the_tail_switches(self, q):
-        # below v = u/(1 + u) = 0.01 the tail term is a series in v
-        x2 = np.array([1.0 - 1e-12, 1.0 + 1e-12]) * (0.01 / 0.99) / (q - 1.0)
-        lo, hi = log_qgauss_jac(x2, q, 0.0)[:, 0]
-        assert hi == pytest.approx(lo, rel=1e-11)
-
     @pytest.mark.parametrize("q", [1.0 + 1e-6, 1.26, 1.71, 2.2, 2.73, 3.0 - 1e-6])
     @pytest.mark.parametrize("beta", [1e-4, 0.3, 1.0, 4793.0, 1e6])
     def test_logpdf_is_the_core_bit_for_bit(self, q, beta):
@@ -175,6 +126,33 @@ class TestLogDensityCore:
         want = log_qgauss(x * x, q, math.log(beta))
         assert np.array_equal(got, want)
         assert qgauss_logpdf(float(x[7]), QParams(q, beta)) == float(want[7])
+
+
+class TestTailMass:
+    @pytest.mark.parametrize("q", [1.0, 1.0 + 1e-6, 1.26, 1.71, 2.73])
+    def test_is_the_mass_outside_the_window(self, q):
+        x = np.array([0.0, 0.1, 1.0, 3.0])
+        want = [1.0 - grid_mass(q, 2.5, -v, v) for v in x]
+        np.testing.assert_allclose(tail_mass(q, 2.5, x), want, rtol=0, atol=1e-15)
+        assert tail_mass(q, 2.5, 0.0) == 1.0 and tail_mass(q, 2.5, math.inf) == 0.0
+
+    @pytest.mark.parametrize("q,beta,x", [(1.71, 1.0, 1e4), (1.26, 3.0, 50.0), (2.73, 1e4, 1e45),
+                                          (1.0, 1.0, 5.0)])
+    def test_far_tail_keeps_its_relative_precision(self, q, beta, x):
+        if q == 1.0:
+            want = 2.0 * stats.norm.sf(x * math.sqrt(2.0 * beta))
+        else:
+            want = 2.0 * stats.t.sf(x * math.sqrt((3.0 - q) * beta), df=(3.0 - q) / (q - 1.0))
+        assert 0.0 < want < 1e-6
+        assert tail_mass(q, beta, x) == pytest.approx(want, rel=1e-12)
+
+    def test_beta_and_x_broadcast(self):
+        beta = np.array([0.5, 2.0, 8.0])
+        x = np.array([0.2, 0.1, 0.05])
+        got = tail_mass(1.71, beta, x)
+        assert np.array_equal(got, [tail_mass(1.71, b, v) for b, v in zip(beta, x)])
+        # the family is one shape: x sqrt(beta) fixes the mass
+        assert got[1] == pytest.approx(got[2], rel=1e-14)
 
 
 class TestSampler:
